@@ -6,7 +6,7 @@ turns rate planning into a concave program over (a, tau):
     maximize   sum_n sum_k U(a_n * p_on_nk**beta)
     subject to a_n <= sum_s c_n(s) * tau[s, n],   tau[s] in the simplex,
 
-with the service coefficients c_n(s) from `stability.inner_coefficient`.
+with the service coefficients c_n(s) from `stability.inner_coefficients`.
 
 For the supported logarithmic utility the objective is increasing in each
 a_n, so a_n is eliminated (a_n = sum_s c_n(s) tau[s, n]) and the residual
@@ -33,8 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NetworkConfig
-from .stability import inner_coefficient
+from .core import ConfigError, NetworkConfig
+
+# inner_coefficient stays importable here: perfbench/tracing.py wraps it
+from .stability import inner_coefficient, inner_coefficients  # noqa: F401
 
 LOG_FLOOR = 1e-12
 
@@ -43,21 +45,27 @@ ARMIJO_SLOPE = 1e-4
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x : x >= 0, sum(x) <= 1}.
+    """Euclidean projection onto {x : x >= 0, sum(x) <= 1}, row by row.
 
+    `v` is one vector or a (rows, k) stack, each row projected on its own.
     If clipping negatives already lands inside, that is the projection;
-    otherwise project onto the face sum(x) = 1 by the sorted-threshold rule.
+    otherwise project onto the face sum(x) = 1 by the sorted-threshold rule
+    (Duchi et al., ICML 2008), with rho the last index passing its test.
+    Rows are summed in C order, so a row of a stack gets the same bits as
+    the same row projected alone.
     """
-    v = np.asarray(v, dtype=float)
+    v = np.ascontiguousarray(v, dtype=float)
     clipped = np.maximum(v, 0.0)
-    if clipped.sum() <= 1.0:
+    inside = clipped.sum(axis=-1, keepdims=True) <= 1.0
+    if inside.all():
         return clipped
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * idx > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    k = v.shape[-1]
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    passed = u * np.arange(1, k + 1) > css
+    rho = k - 1 - np.argmax(passed[..., ::-1], axis=-1, keepdims=True)
+    theta = np.take_along_axis(css, rho, axis=-1) / (rho + 1.0)
+    return np.where(inside, clipped, np.maximum(v - theta, 0.0))
 
 
 @dataclass
@@ -71,18 +79,6 @@ class DfcSolution:
     kkt_residual: float
     iterations: int
     converged: bool
-
-
-def _coefficients(cfg: NetworkConfig) -> np.ndarray:
-    """c[n, s] service coefficients; a dead queue's row is all zeros."""
-    n_states = 1 << cfg.n_queues
-    c = np.zeros((cfg.n_queues, n_states))
-    for n in range(cfg.n_queues):
-        if not any(p > 0.0 for p in cfg.p_on_row(n)):
-            continue
-        for s in range(n_states):
-            c[n, s] = inner_coefficient(cfg, n, s)
-    return c
 
 
 def _weights(cfg: NetworkConfig) -> np.ndarray:
@@ -112,7 +108,7 @@ def objective_and_gradient(
     cfg: NetworkConfig, tau: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Reduced objective F(tau) and its gradient, for a (2**N, N) grant table."""
-    c = _coefficients(cfg)
+    c = inner_coefficients(cfg)
     w = _weights(cfg)
     const = _objective_const(cfg)
     a = np.maximum((c * tau.T).sum(axis=1), LOG_FLOOR)
@@ -129,11 +125,14 @@ def solve_dfc(
     """Maximize the proportional-ray utility over (a, tau)."""
     n_queues = cfg.n_queues
     n_states = 1 << n_queues
-    c = _coefficients(cfg)  # (N, S)
+    c = inner_coefficients(cfg)  # (N, S)
     w = _weights(cfg)  # (N,)
     const = _objective_const(cfg)
     if not np.any(w > 0):
-        raise ValueError("every queue is dead (no flow with p_on > 0)")
+        raise ConfigError(
+            "queues[*].flows[*].p_off: every flow has p_off = 1, so no queue "
+            "can carry traffic and there is no rate plan"
+        )
 
     def f_of(tau_sn: np.ndarray) -> tuple[float, np.ndarray]:
         a = np.maximum((c * tau_sn.T).sum(axis=1), LOG_FLOOR)
@@ -154,10 +153,7 @@ def solve_dfc(
             break
         accepted = False
         while step > 1e-16:
-            cand = np.empty_like(tau)
-            trial = tau + step * grad
-            for s in range(n_states):
-                cand[s] = project_simplex(trial[s])
+            cand = project_simplex(tau + step * grad)
             f_new, a_new = f_of(cand)
             if f_new >= fval + ARMIJO_SLOPE * float((grad * (cand - tau)).sum()):
                 accepted = True
@@ -195,7 +191,7 @@ def _grid_candidates(cfg: NetworkConfig, step: float) -> list[np.ndarray]:
     """
     n_queues = cfg.n_queues
     n_states = 1 << n_queues
-    c = _coefficients(cfg)
+    c = inner_coefficients(cfg)
     base = np.zeros((n_states, n_queues))
     contended = None
     for s in range(n_states):
@@ -226,7 +222,7 @@ def dfc_gap_vs_oracle(cfg: NetworkConfig, grid_step: float = 0.01) -> float:
     if cfg.n_queues > 2:
         raise ValueError("grid oracle supports at most two queues")
     sol = solve_dfc(cfg)
-    c = _coefficients(cfg)
+    c = inner_coefficients(cfg)
     w = _weights(cfg)
     const = _objective_const(cfg)
     best = -math.inf

@@ -81,6 +81,17 @@ def test_solve_dfc_writes_solution(tmp_path, capsys):
     assert set(sol) >= {"config", "tau", "objective", "kkt_residual", "iterations"}
 
 
+def test_all_dead_config_is_a_one_line_error(tmp_path, capsys):
+    path = write_cfg(tmp_path, "d.json", [[1.0], [1.0, 1.0]])
+    for argv in (["solve-dfc", "--config", path],
+                 ["simulate", "--config", path, "--policy", "dfc-static",
+                  "--horizon", "1000"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "p_off = 1" in err
+
+
 # ----- simulate -----
 
 

@@ -66,6 +66,24 @@ def test_project_simplex_is_nearest_feasible_point(v, seed):
         assert np.sum((v - x) ** 2) <= np.sum((v - w) ** 2) + 1e-9
 
 
+def test_batched_projection_equals_row_by_row():
+    rng = np.random.default_rng(47)
+    for _ in range(300):
+        rows, k = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        kind = rng.integers(0, 3)
+        if kind == 0:  # inside the set
+            v = rng.dirichlet(np.ones(k + 1), size=rows)[:, :k]
+        elif kind == 1:  # outside, nonnegative
+            v = rng.uniform(0.0, 2.0, size=(rows, k))
+        else:  # mixed, with negative entries and rows of either kind
+            v = rng.uniform(-1.0, 1.5, size=(rows, k)) * rng.uniform(0.0, 2.0, (rows, 1))
+        got = project_simplex(v)
+        assert got.shape == v.shape
+        assert np.array_equal(got, np.stack([project_simplex(r) for r in v]))
+        # a transposed view holds the same rows in another memory order
+        assert np.array_equal(project_simplex(np.asfortranarray(v)), got)
+
+
 # ----- solver on instances with known optima -----
 
 

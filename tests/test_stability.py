@@ -14,7 +14,7 @@ from wfifo import (
     single_queue_margin,
     sweep_two_queue_boundary,
 )
-from wfifo.stability import Margin
+from wfifo.stability import Margin, inner_coefficients
 
 SERVE_WHEN_ON_1Q = SchedulingPolicy(np.array([[0.0], [1.0]]))
 
@@ -168,6 +168,67 @@ def test_inner_coefficient_dead_queue_raises():
     cfg = make_cfg([[1.0]])
     with pytest.raises(ValueError, match="dead queue"):
         inner_coefficient(cfg, 0, 1)
+
+
+def _random_inner_cfg(rng):
+    """Random config with sure-ON and sure-OFF flows and whole dead queues."""
+    n_queues = int(rng.integers(1, 8))
+    rows = []
+    for _ in range(n_queues):
+        k = int(rng.integers(1, 4))
+        if rng.random() < 0.15:
+            rows.append([1.0] * k)
+        else:
+            rows.append(rng.choice([0.0, 1.0, *rng.uniform(0.0, 0.95, 4)], size=k).tolist())
+    return make_cfg(rows, beta=float(rng.uniform(1.0, 3.0)))
+
+
+def _is_dead(cfg, n):
+    return all(p <= 0.0 for p in cfg.p_on_row(n))
+
+
+def test_coefficient_table_equals_per_state_coefficients():
+    rng = np.random.default_rng(41)
+    dead_rows = 0
+    for _ in range(250):
+        cfg = _random_inner_cfg(rng)
+        table = inner_coefficients(cfg)
+        assert table.shape == (cfg.n_queues, 1 << cfg.n_queues)
+        for n in range(cfg.n_queues):
+            if _is_dead(cfg, n):
+                dead_rows += 1
+                assert np.all(table[n] == 0.0)
+                continue
+            for s in range(1 << cfg.n_queues):
+                assert table[n, s] == inner_coefficient(cfg, n, s)
+    assert dead_rows > 0
+
+
+def _reference_scale_slack(cfg, a, pol, n):
+    """Per-state fsum over the scalar coefficients."""
+    if _is_dead(cfg, n):
+        return 0.0 if a[n] == 0.0 else -math.inf
+    cap = math.fsum(
+        inner_coefficient(cfg, n, s) * pol.prob(s, n)
+        for s in range(1 << cfg.n_queues)
+    )
+    return cap - a[n]
+
+
+def test_inner_bound_slacks_equal_per_state_fsum():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        cfg = _random_inner_cfg(rng)
+        n_queues = cfg.n_queues
+        tau = rng.dirichlet(np.ones(n_queues + 1), size=1 << n_queues)[:, :n_queues]
+        pol = SchedulingPolicy(tau)
+        a = [0.0 if _is_dead(cfg, n) else float(rng.uniform(0.0, 0.5))
+             for n in range(n_queues)]
+        slacks = check_inner_bound(cfg, a, pol).slacks
+        for n in range(n_queues):
+            assert slacks[f"scale[{n}]"] == _reference_scale_slack(cfg, a, pol, n)
+        for s in range(1 << n_queues):
+            assert slacks[f"grant_sum[{s}]"] == 1.0 - float(np.sum(tau[s]))
 
 
 def test_inner_bound_single_queue():
