@@ -23,7 +23,7 @@ from .core import (
     state_index,
     state_vector,
 )
-from .dfc import DfcSolution, dfc_gap_vs_oracle, project_simplex, solve_dfc
+from .dfc import DfcSolution, project_simplex, solve_dfc
 from .markov import (
     SteadyState,
     hol_distribution,
@@ -38,10 +38,6 @@ from .policies import (
     QfcPolicy,
     StaticPolicy,
     build_policy,
-    maxweight_flow_control,
-    maxweight_schedule,
-    qfc_flow_control,
-    qfc_schedule,
     serve_if_on_policy,
     static_dfc_policy,
 )
@@ -92,17 +88,12 @@ __all__ = [
     "config_digest",
     "config_from_dict",
     "detect_stability",
-    "dfc_gap_vs_oracle",
     "enumerate_states",
     "hol_distribution",
     "inner_coefficient",
     "joint_state_hol_prob",
     "load_config",
-    "maxweight_flow_control",
-    "maxweight_schedule",
     "project_simplex",
-    "qfc_flow_control",
-    "qfc_schedule",
     "run",
     "run_saturated",
     "serve_if_on_policy",

@@ -36,7 +36,7 @@ from .core import (
 )
 from .dfc import DfcSolution, solve_dfc
 from .markov import single_queue_steady_state
-from .sim import RunSpec, detect_stability, run, stream_seed
+from .sim import MIN_VERDICT_SLOTS, RunSpec, detect_stability, run, stream_seed
 from .stability import (
     best_policy_search,
     check_inner_bound,
@@ -285,7 +285,17 @@ def _write_trace_csv(path: str, cfg: NetworkConfig, metrics) -> None:
                      + ",".join(str(int(v)) for v in adm[t]) + "\n")
 
 
+def _check_budget(horizon: int, warmup: Optional[int], min_horizon: int, prefix: str) -> None:
+    """Reject a run length the engine (or the stability verdict) cannot use."""
+    if horizon < min_horizon:
+        raise ConfigError(f"{prefix}horizon: must be >= {min_horizon}, got {horizon}")
+    if warmup is not None and not (0 <= warmup < horizon):
+        raise ConfigError(f"{prefix}warmup: must be in [0, horizon), got {warmup}")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # the summary carries a stability verdict, which needs a minimum trace
+    _check_budget(args.horizon, args.warmup, MIN_VERDICT_SLOTS, "--")
     cfg = load_config(args.config)
     if args.policy == "static" and cfg.missing_lambda_fields():
         print(
@@ -392,6 +402,7 @@ class ExperimentPlan:
     def validate(self) -> None:
         if self.seeds < 1:
             raise ConfigError("plan: seeds must be >= 1")
+        _check_budget(self.horizon, self.warmup, 1, "plan: ")
         if not self.values:
             raise ConfigError("plan: values must be non-empty")
         if not self.policies:
@@ -663,6 +674,9 @@ FIGURES = {
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds: must be >= 1, got {args.seeds}")
+    _check_budget(args.horizon, None, 1, "--")
     columns, rows, desc = FIGURES[args.figure](args)
     out = str(Path(args.out) / f"{args.figure}.csv")
     _write_csv(out, _digest_obj(desc), args.seed, args.horizon, columns, rows)

@@ -186,12 +186,21 @@ def _expect_list(obj: Any, path: str) -> list:
     return obj
 
 
+def _number(obj: dict, key: str, default: float, path: str) -> float:
+    value = obj.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: must be a number, got {value!r}") from None
+
+
 def config_from_dict(data: Any) -> NetworkConfig:
     """Build and validate a NetworkConfig from parsed JSON data."""
     top = _expect_mapping(data, "config")
     util_raw = _expect_mapping(top.get("utility", {}), "utility")
     utility = Utility(
-        kind=util_raw.get("kind", "log"), weight=float(util_raw.get("weight", 1.0))
+        kind=util_raw.get("kind", "log"),
+        weight=_number(util_raw, "weight", 1.0, "utility.weight"),
     )
     queues = []
     for n, q_raw in enumerate(_expect_list(top.get("queues", []), "queues")):
@@ -206,9 +215,9 @@ def config_from_dict(data: Any) -> NetworkConfig:
         queues.append(QueueSpec(flows=flows))
     cfg = NetworkConfig(
         queues=queues,
-        beta=float(top.get("beta", 1.0)),
-        M=float(top.get("M", 1000.0)),
-        r_max=float(top.get("r_max", 2.0)),
+        beta=_number(top, "beta", 1.0, "beta"),
+        M=_number(top, "M", 1000.0, "M"),
+        r_max=_number(top, "r_max", 2.0, "r_max"),
         utility=utility,
     )
     errs = cfg.validate()

@@ -1,20 +1,26 @@
 """Online admission and scheduling rules driven by queue backlogs.
 
-Two controller families share the engine interface:
+Two controller families share the engine interface. Both use the weighted
+log utility U(x) = w * log(x), the only kind a config may name, so every
+admission rule has a closed form:
 
 * qfc: queue-level. Each queue picks one admission scale a_n by maximizing
-  M * sum_k U(a_n * p_on_nk**beta) - Q_n * a_n over [0, r_max], then admits
-  lam_nk = a_n * p_on_nk**beta. The scheduler grants the slot to the
-  serviceable queue with the largest Q_n / sum_k p_on_nk**beta.
-* maxweight: flow-level. Each flow admits by maximizing
-  M * U(lam) - Q_nk * lam over [0, r_max] against its own backlog, and the
-  scheduler grants the largest-backlog serviceable queue. It never looks at
-  channel statistics, which is exactly the behavior the qfc design fixes.
+  M * sum_k U(a_n * p_on_nk**beta) - Q_n * a_n over [0, r_max]. Every flow's
+  log term has marginal weight 1/a_n whatever its channel, so
+  a_n = min(r_max, M * w * K_n / Q_n), with K_n counting all of queue n's
+  flows (a permanently OFF flow admits a_n * 0**beta = 0 but keeps its
+  weight). Flow k then admits lam_nk = a_n * p_on_nk**beta. The scheduler
+  grants the slot to the serviceable queue with the largest
+  Q_n / sum_k p_on_nk**beta.
+* maxweight: flow-level. Each flow maximizes M * U(lam) - Q_nk * lam over
+  [0, r_max] against its own backlog, giving lam = min(r_max, M * w / Q_nk),
+  and the scheduler grants the largest-backlog serviceable queue. It never
+  looks at channel statistics, which is exactly the behavior the qfc design
+  fixes.
 
-For the logarithmic utility both maximizations have closed forms; a
-golden-section fallback covers any other concave utility. Ties in either
-scheduler resolve to the lowest queue index. A static policy replays fixed
-admission rates and a fixed randomized grant table, e.g. a planner solution.
+An empty backlog admits at the cap r_max. Ties in either scheduler resolve
+to the lowest queue index. A static policy replays fixed admission rates and
+a fixed randomized grant table, e.g. a planner solution.
 """
 
 from __future__ import annotations
@@ -24,102 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NetworkConfig, SchedulingPolicy, state_bit
+from .core import NetworkConfig, SchedulingPolicy
 from .dfc import DfcSolution
-
-GOLDEN_TOL = 1e-10
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_max(f, lo: float, hi: float, tol: float = GOLDEN_TOL) -> float:
-    """Argmax of a unimodal f on [lo, hi] by golden-section search."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
-
-
-def qfc_flow_control(q_total: int | float, cfg: NetworkConfig, n: int) -> float:
-    """Admission scale for queue n given its total backlog.
-
-    Log utility closed form: every flow's log term has marginal weight 1/a
-    whatever its channel, so a* = min(r_max, M * w * K_n / Q_n); an empty
-    queue admits at the cap. Other utilities fall back to golden section.
-    """
-    if q_total < 0:
-        raise ValueError("backlog must be >= 0")
-    k_n = cfg.n_flows(n)
-    if cfg.utility.kind == "log":
-        if q_total == 0:
-            return cfg.r_max
-        return min(cfg.r_max, cfg.M * cfg.utility.weight * k_n / q_total)
-    return _generic_scale(q_total, cfg, n)
-
-
-def _generic_scale(q_total: float, cfg: NetworkConfig, n: int) -> float:
-    beta = cfg.beta
-    p_on = cfg.p_on_row(n)
-    util = cfg.utility
-
-    def objective(a: float) -> float:
-        total = 0.0
-        for p in p_on:
-            # flows with p_on = 0 keep their marginal term in a; their
-            # channel constant is dropped (it does not move the argmax)
-            total += util.value(a) if p <= 0.0 else util.value(a * p**beta)
-        return cfg.M * total - q_total * a
-
-    return golden_section_max(objective, 1e-12, cfg.r_max)
-
-
-def maxweight_flow_control(q_flow: int | float, cfg: NetworkConfig) -> float:
-    """Per-flow admission against that flow's own backlog (channel-blind)."""
-    if q_flow < 0:
-        raise ValueError("backlog must be >= 0")
-    if cfg.utility.kind == "log":
-        if q_flow == 0:
-            return cfg.r_max
-        return min(cfg.r_max, cfg.M * cfg.utility.weight / q_flow)
-    util = cfg.utility
-    return golden_section_max(
-        lambda lam: cfg.M * util.value(lam) - q_flow * lam, 1e-12, cfg.r_max
-    )
-
-
-def qfc_schedule(
-    q_totals: list[int], serviceable: list[int], cfg: NetworkConfig
-) -> Optional[int]:
-    """Grant the slot to the serviceable queue maximizing Q_n / sum_k p_on**beta."""
-    best, best_w = None, -1.0
-    for n in serviceable:
-        denom = math.fsum(p**cfg.beta for p in cfg.p_on_row(n))
-        w = q_totals[n] / denom
-        if w > best_w:
-            best, best_w = n, w
-    return best
-
-
-def maxweight_schedule(q_totals: list[int], serviceable: list[int]) -> Optional[int]:
-    """Grant the slot to the serviceable queue with the largest backlog."""
-    best, best_w = None, -1.0
-    for n in serviceable:
-        if q_totals[n] > best_w:
-            best, best_w = n, q_totals[n]
-    return best
-
-
-# ----- Engine-facing policy objects -----
-
 
 class Policy:
     """Per-slot admission and scheduling decisions for the simulator.
@@ -145,7 +57,6 @@ class QfcPolicy(Policy):
     name = "qfc"
 
     def __init__(self, cfg: NetworkConfig):
-        self.cfg = cfg
         self.r_max = cfg.r_max
         self.pon_beta = [
             [p**cfg.beta for p in cfg.p_on_row(n)] for n in range(cfg.n_queues)
@@ -157,16 +68,12 @@ class QfcPolicy(Policy):
             # a queue whose flows are all permanently OFF is never serviceable,
             # so its weight is never consulted
             self.sched_w.append(1.0 / denom if denom > 0 else 0.0)
-        self._closed_form = cfg.utility.kind == "log"
 
     def admission(self, q_totals, q_flows):
         out = []
         r_max = self.r_max
         for n, q in enumerate(q_totals):
-            if self._closed_form:
-                a = r_max if q == 0 else min(r_max, self.mk[n] / q)
-            else:
-                a = _generic_scale(q, self.cfg, n)
+            a = r_max if q == 0 else min(r_max, self.mk[n] / q)
             out.append([a * pb for pb in self.pon_beta[n]])
         return out
 
@@ -183,21 +90,15 @@ class MaxWeightPolicy(Policy):
     name = "maxweight"
 
     def __init__(self, cfg: NetworkConfig):
-        self.cfg = cfg
         self.r_max = cfg.r_max
         self.mw = cfg.M * cfg.utility.weight
-        self._closed_form = cfg.utility.kind == "log"
 
     def admission(self, q_totals, q_flows):
         out = []
         r_max = self.r_max
         mw = self.mw
-        if self._closed_form:
-            for row in q_flows:
-                out.append([r_max if q == 0 else min(r_max, mw / q) for q in row])
-        else:
-            for row in q_flows:
-                out.append([maxweight_flow_control(q, self.cfg) for q in row])
+        for row in q_flows:
+            out.append([r_max if q == 0 else min(r_max, mw / q) for q in row])
         return out
 
     def schedule(self, q_totals, serviceable, state_bits, u):

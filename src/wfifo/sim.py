@@ -40,6 +40,9 @@ from .policies import Policy, build_policy
 
 _BLOCK = 4096
 
+# shortest backlog trace `detect_stability` will classify
+MIN_VERDICT_SLOTS = 10
+
 
 def stream_seed(master_seed: int, name: str) -> int:
     digest = hashlib.sha256(f"{master_seed}:{name}".encode()).digest()
@@ -491,8 +494,10 @@ def detect_stability(
     q = np.asarray(q_trace)
     if q.ndim == 2:
         q = q.sum(axis=1)
-    if q.ndim != 1 or q.size < 10:
-        raise ValueError("need a 1-D backlog trace of at least 10 slots")
+    if q.ndim != 1 or q.size < MIN_VERDICT_SLOTS:
+        raise ValueError(
+            f"need a 1-D backlog trace of at least {MIN_VERDICT_SLOTS} slots"
+        )
     w = q.size // 10 if warmup is None else warmup
     if not (0 <= w < q.size):
         raise ValueError("warmup must be in [0, len(trace))")

@@ -17,6 +17,7 @@ Feasibility uses an absolute tolerance of 1e-9.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -290,39 +291,53 @@ def sweep_two_queue_boundary(
 def best_policy_search(
     cfg: NetworkConfig,
     lambdas: list[list[float]],
-    step: float = 0.01,
 ) -> tuple[SchedulingPolicy, Margin]:
-    """Dense grid search for the scheduler maximizing the worst grant slack.
+    """Exact scheduler maximizing the worst per-flow rate slack.
 
-    Only networks of one or two queues are supported: with two queues the
-    single contended state (both ON) is swept at `step` resolution, and every
-    state with a lone serviceable queue grants that queue the whole slot
-    (grant weights are nonnegative, so full allocation is never worse).
+    Only networks of one or two queues are supported. Every state with a
+    lone serviceable queue grants that queue the whole slot (grant weights
+    are nonnegative, so full allocation is never worse), which leaves one
+    free split with two queues: x = tau[both ON, queue 0]. With the rates
+    fixed, every rate slack is affine in x (an absorbing queue's -inf is a
+    constant), so their minimum is concave and piecewise affine: it peaks at
+    x = 0, x = 1 or where two slacks cross. The smallest best x is taken.
     Returns the best policy and its feasibility margin.
     """
     n_queues = cfg.n_queues
     if n_queues > 2:
-        raise ValueError("grid search supports at most two queues")
+        raise ValueError("best policy search supports at most two queues")
     if n_queues == 1:
         tau = np.zeros((2, 1))
         tau[ON, 0] = 1.0
         best = SchedulingPolicy(tau)
         return best, check_service_region(cfg, lambdas, best)
 
-    base = np.zeros((4, 2))
-    base[0b01, 0] = 1.0  # only queue 0 serviceable
-    base[0b10, 1] = 1.0  # only queue 1 serviceable
-    best_tau = None
-    best_min = -math.inf
-    for x in np.arange(0.0, 1.0 + step / 2, step):
-        tau = base.copy()
-        tau[0b11, 0] = min(float(x), 1.0)
-        tau[0b11, 1] = 1.0 - tau[0b11, 0]
-        margin = check_service_region(cfg, lambdas, SchedulingPolicy(tau))
-        rate_slacks = [v for key, v in margin.slacks.items() if key.startswith("rate")]
-        worst = min(rate_slacks) if rate_slacks else math.inf
-        if worst > best_min:
-            best_min = worst
-            best_tau = tau
-    policy = SchedulingPolicy(best_tau)
+    def split(x: float) -> SchedulingPolicy:
+        tau = np.zeros((4, 2))
+        tau[0b01, 0] = 1.0  # only queue 0 serviceable
+        tau[0b10, 1] = 1.0  # only queue 1 serviceable
+        tau[0b11] = [x, 1.0 - x]
+        return SchedulingPolicy(tau)
+
+    def rate_slacks(x: float) -> np.ndarray:
+        margin = check_service_region(cfg, lambdas, split(x))
+        return np.array([v for key, v in margin.slacks.items() if key.startswith("rate")])
+
+    at0, at1 = rate_slacks(0.0), rate_slacks(1.0)
+    finite = np.isfinite(at0)
+    slope = np.zeros_like(at0)
+    slope[finite] = at1[finite] - at0[finite]
+    candidates = {0.0, 1.0}
+    for i, j in itertools.combinations(np.flatnonzero(finite), 2):
+        if slope[i] != slope[j]:
+            x = float((at0[j] - at0[i]) / (slope[i] - slope[j]))
+            if 0.0 < x < 1.0:
+                candidates.add(x)
+
+    def worst(x: float) -> float:
+        return float(np.min(at0 + slope * x, initial=math.inf))
+
+    # max keeps the first of equal values, so ties go to the smallest x
+    best_x = max(sorted(candidates), key=worst)
+    policy = split(best_x)
     return policy, check_service_region(cfg, lambdas, policy)

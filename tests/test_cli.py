@@ -56,6 +56,33 @@ def test_analyze_missing_file(tmp_path):
     assert main(["analyze", "--config", str(tmp_path / "gone.json")]) == 1
 
 
+def test_analyze_two_queues_with_a_dead_loaded_flow(tmp_path, capsys):
+    # every split leaves the dead flow's queue absorbing (slack -inf), so
+    # the best split is the first one and the verdict is infeasible
+    path = write_cfg(tmp_path, "a.json", [[1.0, 0.2], [0.3]],
+                     lambdas=[[0.1, 0.1], [0.2]])
+    assert main(["analyze", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert "verdict: infeasible" in captured.out
+    assert "worst slack = -inf" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("field", ["beta", "M", "r_max", "utility.weight"])
+@pytest.mark.parametrize("value", ["x", None])
+def test_analyze_non_numeric_constant_is_a_one_line_error(tmp_path, capsys, field, value):
+    data = make_cfg([[0.2]], lambdas=[[0.1]]).to_dict()
+    if field == "utility.weight":
+        data["utility"]["weight"] = value
+    else:
+        data[field] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: must be a number") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as ei:
         main([])
@@ -122,6 +149,19 @@ def test_simulate_overload_exits_two(tmp_path, capsys):
                "--horizon", "20000"])
     assert rc == 2
     assert json.loads(capsys.readouterr().out)["stability"]["verdict"] == "unstable"
+
+
+@pytest.mark.parametrize("budget, field", [
+    (["--horizon", "0"], "--horizon"),
+    (["--horizon", "5"], "--horizon"),  # the stability verdict needs 10 slots
+    (["--horizon", "100", "--warmup", "100"], "--warmup"),
+    (["--horizon", "100", "--warmup", "-1"], "--warmup"),
+])
+def test_simulate_unusable_budget_is_a_one_line_error(tmp_path, capsys, budget, field):
+    path = write_cfg(tmp_path, "s.json", [[0.2, 0.5]])
+    assert main(["simulate", "--config", path] + budget) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: must be") and err.count("\n") == 1
 
 
 def test_simulate_static_needs_rates(tmp_path, capsys):
@@ -228,6 +268,16 @@ def test_plan_cli_error_exit_code(tmp_path, capsys):
     assert "seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", [{"horizon": 0}, {"warmup": 100}, {"warmup": -1}])
+def test_plan_unusable_budget_is_a_one_line_error(tmp_path, capsys, budget):
+    fields = dict(config=make_cfg([[0.2]]).to_dict(), parameter="beta",
+                  values=[1.0], seeds=1, policies=["qfc"], horizon=100)
+    plan = write_plan(tmp_path, "p.json", **(fields | budget))
+    assert main(["sweep", "--plan", plan]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: plan: ") and err.count("\n") == 1
+
+
 def test_plan_sweeps_nested_fields(tmp_path):
     plan = ExperimentPlan(
         config=make_cfg([[0.2, 0.5]]).to_dict(),
@@ -239,6 +289,18 @@ def test_plan_sweeps_nested_fields(tmp_path):
 
 
 # ----- reproduce-fig -----
+
+
+@pytest.mark.parametrize("budget, field", [
+    (["--seeds", "0"], "--seeds"),
+    (["--seeds", "-2"], "--seeds"),
+    (["--horizon", "0"], "--horizon"),
+])
+def test_recipe_unusable_budget_is_a_one_line_error(tmp_path, capsys, budget, field):
+    assert main(["reproduce-fig", "fig6", "--out", str(tmp_path)] + budget) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: must be >= 1") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_fig5a_recipe_contract(tmp_path, capsys):

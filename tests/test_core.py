@@ -123,6 +123,18 @@ def test_config_from_dict_wrong_shapes():
         config_from_dict([1, 2])
 
 
+@pytest.mark.parametrize("field", ["beta", "M", "r_max", "utility.weight"])
+@pytest.mark.parametrize("value", ["x", None, [1.0], {}])
+def test_config_from_dict_non_numeric_constant(field, value):
+    data = {"queues": [{"flows": [{"p_off": 0.5}]}]}
+    if field == "utility.weight":
+        data["utility"] = {"weight": value}
+    else:
+        data[field] = value
+    with pytest.raises(ConfigError, match=rf"^{field}: must be a number"):
+        config_from_dict(data)
+
+
 def test_load_config_bad_json_reports_position(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{ nope }")

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import make_cfg, single_queue_cfg
+from helpers import dfc_gap_vs_oracle, make_cfg, single_queue_cfg
 from wfifo import (
     SchedulingPolicy,
     check_inner_bound,
-    dfc_gap_vs_oracle,
     project_simplex,
     solve_dfc,
 )

@@ -5,24 +5,41 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import make_cfg, single_queue_cfg
+from helpers import golden_section_max, make_cfg, single_queue_cfg
 from wfifo import (
     MaxWeightPolicy,
     QfcPolicy,
-    SchedulingPolicy,
     StaticPolicy,
     build_policy,
-    maxweight_flow_control,
-    maxweight_schedule,
-    qfc_flow_control,
-    qfc_schedule,
     serve_if_on_policy,
     solve_dfc,
     static_dfc_policy,
 )
-from wfifo.policies import golden_section_max
 
 backlogs = st.integers(min_value=0, max_value=10**9)
+
+
+def qfc_scale(q, cfg):
+    """Admission scale a of single-queue qfc at total backlog q, read off the
+    first flow with a live channel (that flow admits a * p_on**beta)."""
+    rates = QfcPolicy(cfg).admission([q], [[q] + [0] * (cfg.n_flows(0) - 1)])[0]
+    k, p_on = next((k, p) for k, p in enumerate(cfg.p_on_row(0)) if p > 0.0)
+    return rates[k] / p_on**cfg.beta
+
+
+def qfc_pick(q_totals, serviceable, cfg):
+    bits = sum(1 << n for n in serviceable)
+    return QfcPolicy(cfg).schedule(q_totals, serviceable, bits, 0.0)
+
+
+def maxweight_rate(q_flow, cfg):
+    return MaxWeightPolicy(cfg).admission([q_flow], [[q_flow]])[0][0]
+
+
+def maxweight_pick(q_totals, serviceable):
+    cfg = make_cfg([[0.5]] * len(q_totals))
+    bits = sum(1 << n for n in serviceable)
+    return MaxWeightPolicy(cfg).schedule(q_totals, serviceable, bits, 0.0)
 
 
 def test_golden_section_finds_quadratic_peak():
@@ -32,23 +49,17 @@ def test_golden_section_finds_quadratic_peak():
 
 def test_qfc_scale_stationarity_point():
     cfg = single_queue_cfg([0.5, 0.5], M=100.0)
-    assert qfc_flow_control(400, cfg, 0) == pytest.approx(0.5)
+    assert qfc_scale(400, cfg) == pytest.approx(0.5)
 
 
 def test_qfc_scale_empty_queue_admits_at_cap():
     cfg = single_queue_cfg([0.5, 0.5], M=100.0, r_max=2.0)
-    assert qfc_flow_control(0, cfg, 0) == 2.0
+    assert qfc_scale(0, cfg) == 2.0
 
 
 def test_qfc_scale_throttles_under_huge_backlog():
     cfg = single_queue_cfg([0.5, 0.5], M=100.0)
-    assert qfc_flow_control(10**9, cfg, 0) == pytest.approx(2e-7)
-
-
-def test_qfc_scale_rejects_negative_backlog():
-    cfg = single_queue_cfg([0.5])
-    with pytest.raises(ValueError):
-        qfc_flow_control(-1, cfg, 0)
+    assert qfc_scale(10**9, cfg) == pytest.approx(2e-7)
 
 
 def test_qfc_scale_counts_all_configured_flows():
@@ -56,7 +67,7 @@ def test_qfc_scale_counts_all_configured_flows():
     # still has marginal weight 1/a, so it stays in the flow count; this also
     # keeps the controller consistent with the scheduler weight's denominator
     cfg = single_queue_cfg([0.1, 1.0], M=100.0)
-    assert qfc_flow_control(400, cfg, 0) == pytest.approx(0.5)
+    assert qfc_scale(400, cfg) == pytest.approx(0.5)
 
 
 def test_qfc_scale_matches_direct_maximization():
@@ -69,36 +80,36 @@ def test_qfc_scale_matches_direct_maximization():
             1e-9,
             cfg.r_max,
         )
-        assert qfc_flow_control(q, cfg, 0) == pytest.approx(direct, rel=1e-5)
+        assert qfc_scale(q, cfg) == pytest.approx(direct, rel=1e-5)
 
 
 @given(backlogs, backlogs)
 def test_qfc_scale_monotone_in_backlog(q1, q2):
     cfg = single_queue_cfg([0.5, 0.5], M=100.0)
     lo, hi = sorted((q1, q2))
-    assert qfc_flow_control(hi, cfg, 0) <= qfc_flow_control(lo, cfg, 0)
+    assert qfc_scale(hi, cfg) <= qfc_scale(lo, cfg)
 
 
 @given(st.floats(min_value=1.0, max_value=1e4), st.floats(min_value=1.0, max_value=1e4))
 def test_qfc_scale_monotone_in_gain(m1, m2):
     lo, hi = sorted((m1, m2))
     q = 500
-    a_lo = qfc_flow_control(q, single_queue_cfg([0.5], M=lo), 0)
-    a_hi = qfc_flow_control(q, single_queue_cfg([0.5], M=hi), 0)
+    a_lo = qfc_scale(q, single_queue_cfg([0.5], M=lo))
+    a_hi = qfc_scale(q, single_queue_cfg([0.5], M=hi))
     assert a_hi >= a_lo
 
 
 def test_qfc_schedule_channel_normalized_tie():
     # weights Q/sum(p_on**beta) = 10/1.0 vs 5/0.5: tied, lowest index wins
     cfg = make_cfg([[0.5, 0.5], [0.5]])
-    assert qfc_schedule([10, 5], [0, 1], cfg) == 0
-    assert qfc_schedule([10, 5], [1], cfg) == 1
-    assert qfc_schedule([10, 5], [], cfg) is None
+    assert qfc_pick([10, 5], [0, 1], cfg) == 0
+    assert qfc_pick([10, 5], [1], cfg) == 1
+    assert qfc_pick([10, 5], [], cfg) is None
 
 
 def test_qfc_schedule_prefers_heavier_normalized_backlog():
     cfg = make_cfg([[0.5, 0.5], [0.5]])
-    assert qfc_schedule([10, 6], [0, 1], cfg) == 1  # 10 < 12
+    assert qfc_pick([10, 6], [0, 1], cfg) == 1  # 10 < 12
 
 
 @given(st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=2, max_size=2),
@@ -106,38 +117,38 @@ def test_qfc_schedule_prefers_heavier_normalized_backlog():
 def test_qfc_schedule_scale_free(q, c):
     cfg = make_cfg([[0.2, 0.7], [0.4]])
     scaled = [x * c for x in q]
-    assert qfc_schedule(q, [0, 1], cfg) == qfc_schedule(scaled, [0, 1], cfg)
-    assert qfc_schedule([0.0, q[1]], [0, 1], cfg) == qfc_schedule([0.0, c * q[1]], [0, 1], cfg)
+    assert qfc_pick(q, [0, 1], cfg) == qfc_pick(scaled, [0, 1], cfg)
+    assert qfc_pick([0.0, q[1]], [0, 1], cfg) == qfc_pick([0.0, c * q[1]], [0, 1], cfg)
 
 
 def test_maxweight_rate_examples():
     cfg = single_queue_cfg([0.5], M=100.0, r_max=2.0)
-    assert maxweight_flow_control(1000, cfg) == pytest.approx(0.1)
-    assert maxweight_flow_control(0, cfg) == 2.0
-    assert maxweight_flow_control(50, cfg) == 2.0  # clip point M / r_max
-    assert maxweight_flow_control(51, cfg) < 2.0
+    assert maxweight_rate(1000, cfg) == pytest.approx(0.1)
+    assert maxweight_rate(0, cfg) == 2.0
+    assert maxweight_rate(50, cfg) == 2.0  # clip point M / r_max
+    assert maxweight_rate(51, cfg) < 2.0
 
 
 def test_maxweight_schedule_examples():
-    assert maxweight_schedule([10, 5], [0, 1]) == 0
-    assert maxweight_schedule([10, 5], [1]) == 1
-    assert maxweight_schedule([7, 7], [0, 1]) == 0  # tie: lowest index
-    assert maxweight_schedule([10, 5], []) is None
+    assert maxweight_pick([10, 5], [0, 1]) == 0
+    assert maxweight_pick([10, 5], [1]) == 1
+    assert maxweight_pick([7, 7], [0, 1]) == 0  # tie: lowest index
+    assert maxweight_pick([10, 5], []) is None
 
 
 def test_single_queue_schedulers_coincide():
     cfg = single_queue_cfg([0.3, 0.6])
     for q, serviceable in ((5, [0]), (0, [0]), (3, [])):
         want = 0 if serviceable else None
-        assert qfc_schedule([q], serviceable, cfg) == want
-        assert maxweight_schedule([q], serviceable) == want
+        assert qfc_pick([q], serviceable, cfg) == want
+        assert maxweight_pick([q], serviceable) == want
 
 
 def test_qfc_policy_admission_follows_channel_profile():
     cfg = single_queue_cfg([0.1, 0.5], beta=2.0, M=100.0)
     pol = QfcPolicy(cfg)
     rates = pol.admission([400], [[250, 150]])
-    a = qfc_flow_control(400, cfg, 0)
+    a = min(cfg.r_max, cfg.M * cfg.n_flows(0) / 400)  # log-utility closed form
     assert rates[0][0] == pytest.approx(a * 0.81)
     assert rates[0][1] == pytest.approx(a * 0.25)
 

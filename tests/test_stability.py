@@ -306,7 +306,7 @@ def test_sweep_degenerate_row_gives_full_capacity():
 
 def test_sweep_boundary_points_bracket_feasibility():
     # a shade under each boundary cap must be schedulable, a shade over must
-    # not be, judged by the scheduler grid search
+    # not be, judged by the best scheduler search
     cfg = make_cfg([[0.6, 0.1], [0.7]])
     rows = [
         r for r in sweep_two_queue_boundary((0.6, 0.1), 0.7, grid=9)
@@ -339,3 +339,70 @@ def test_best_policy_search_caps_queue_count():
     cfg = make_cfg([[0.1], [0.1], [0.1]])
     with pytest.raises(ValueError, match="two queues"):
         best_policy_search(cfg, [[0.1], [0.1], [0.1]])
+
+
+def _rate_slacks(margin):
+    return np.array([v for k, v in margin.slacks.items() if k.startswith("rate")])
+
+
+def _split(x):
+    """Two-queue policy: lone serviceable queues get the slot, and queue 0
+    gets share x of the contended state."""
+    tau = np.zeros((4, 2))
+    tau[0b01, 0] = 1.0
+    tau[0b10, 1] = 1.0
+    tau[0b11] = [x, 1.0 - x]
+    return SchedulingPolicy(tau)
+
+
+def _grid_policy_search(cfg, lambdas, step=0.01):
+    """Reference: the 101-point grid over the contended split that the exact
+    search replaced. Returns the grid x values and the worst rate slack of
+    each, from `check_service_region`."""
+    xs = np.minimum(np.arange(0.0, 1.0 + step / 2, step), 1.0)
+    worst = [_rate_slacks(check_service_region(cfg, lambdas, _split(x))).min() for x in xs]
+    return xs, np.array(worst)
+
+
+def _random_two_queue_instance(rng):
+    rows, lams = [], []
+    for _ in range(2):
+        k = int(rng.integers(1, 4))
+        p_off = rng.choice([0.0, 1.0, -1.0], size=k, p=[0.15, 0.1, 0.75])
+        p_off = np.where(p_off < 0, rng.uniform(0.0, 0.9, k), p_off)
+        lam = rng.uniform(0.0, 0.35, k) * (rng.random(k) > 0.2)
+        rows.append(p_off.tolist())
+        lams.append(lam.tolist())
+    return make_cfg(rows), lams
+
+
+def test_exact_policy_search_never_trails_the_grid():
+    rng = np.random.default_rng(91)
+    fine = np.linspace(0.0, 1.0, 1001)
+    for _ in range(200):
+        cfg, lams = _random_two_queue_instance(rng)
+        policy, margin = best_policy_search(cfg, lams)
+        exact = _rate_slacks(margin).min()
+        grid_x, grid_worst = _grid_policy_search(cfg, lams)
+        assert exact >= grid_worst.max() - 1e-12, (cfg.to_dict(), lams)
+
+        # every rate slack is a line through its values at x = 0 and x = 1
+        # (a non-finite slack is constant); the lines reproduce the grid's
+        # slacks, and none of the 1001 points beats the exact search
+        at0 = _rate_slacks(check_service_region(cfg, lams, _split(0.0)))
+        at1 = _rate_slacks(check_service_region(cfg, lams, _split(1.0)))
+        finite = np.isfinite(at0)
+        slope = np.zeros_like(at0)
+        slope[finite] = at1[finite] - at0[finite]
+        lines = (at0[:, None] + slope[:, None] * grid_x).min(axis=0)
+        assert np.allclose(lines, grid_worst, rtol=0.0, atol=1e-12)
+        fine_worst = (at0[:, None] + slope[:, None] * fine).min(axis=0)
+        assert exact >= fine_worst.max() - 1e-12, (cfg.to_dict(), lams)
+
+        if exact == -math.inf:  # ties go to the smallest split
+            assert policy.tau[0b11, 0] == 0.0
+        SchedulingPolicy(policy.tau)
+        assert policy.tau.shape == (4, 2)
+        assert policy.tau[0b11].sum() == pytest.approx(1.0)
+        assert policy.tau[0b01].tolist() == [1.0, 0.0]
+        assert policy.tau[0b10].tolist() == [0.0, 1.0]
