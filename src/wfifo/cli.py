@@ -12,14 +12,16 @@ headers imply byte-identical bodies.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import re
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -358,6 +360,14 @@ def _set_field(data: dict, path: str, value: Any) -> None:
             node = node[idx]
 
 
+def _plan_int(key: str, value: Any) -> int:
+    # JSON has one number type: 1e6 is an integer count, true is not
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"plan: {key}: must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentPlan:
     """A parameter sweep: base config, swept field, grid, seeds, policies."""
@@ -386,14 +396,18 @@ class ExperimentPlan:
             base = Path(path).parent / config
             with open(base, encoding="utf-8") as fh:
                 config = json.load(fh)
+        for key in ("values", "policies"):
+            if not isinstance(raw[key], list):
+                raise ConfigError(f"plan: {key}: must be a list, got {raw[key]!r}")
+        warmup = raw.get("warmup")
         plan = cls(
             config=config,
             parameter=str(raw["parameter"]),
-            values=list(raw["values"]),
-            seeds=int(raw["seeds"]),
+            values=raw["values"],
+            seeds=_plan_int("seeds", raw["seeds"]),
             policies=[str(p) for p in raw["policies"]],
-            horizon=int(raw["horizon"]),
-            warmup=raw.get("warmup"),
+            horizon=_plan_int("horizon", raw["horizon"]),
+            warmup=None if warmup is None else _plan_int("warmup", warmup),
             arrival_mode=str(raw.get("arrival_mode", "fluid")),
         )
         plan.validate()
@@ -407,6 +421,9 @@ class ExperimentPlan:
             raise ConfigError("plan: values must be non-empty")
         if not self.policies:
             raise ConfigError("plan: policies must be non-empty")
+        if self.arrival_mode not in ("fluid", "stochastic"):
+            raise ConfigError(f"plan: arrival_mode: must be 'fluid' or "
+                              f"'stochastic', got {self.arrival_mode!r}")
         for p in self.policies:
             if p not in _POLICY_CHOICES:
                 raise ConfigError(
@@ -423,29 +440,42 @@ class ExperimentPlan:
         return config_from_dict(point)
 
 
-def run_plan(plan: ExperimentPlan, master_seed: int):
-    """Execute the sweep grid; returns {policy: {value index: [TraceMetrics]}}.
+def run_cells(points: list, policies: Sequence[str], horizon: int, seeds: int,
+              master_seed: int, keep: Callable[[Any], Any],
+              warmup: Optional[int] = None,
+              arrival_mode: str = "fluid") -> dict[str, list[list[Any]]]:
+    """Run every policy at every point; returns {policy: [[kept] per point]}.
 
-    Replicate j of every (value, policy) cell runs with seed master_seed + j,
-    so policies compared under one master seed share channel draws.
+    Replicate j runs with seed master_seed + j, so policies compared under
+    one master seed share channel draws. A point is one NetworkConfig, or a
+    list of one config per replicate. Only what `keep` returns of each run
+    is stored, so memory does not grow with runs x horizon. Prints one
+    progress line per point on stderr.
     """
-    results: dict[str, list[list]] = {p: [] for p in plan.policies}
-    for value in plan.values:
-        cfg = plan.config_at(value)
-        for policy in plan.policies:
-            cell = []
-            for j in range(plan.seeds):
-                spec = RunSpec(
-                    cfg=cfg,
-                    policy=policy,
-                    horizon=plan.horizon,
-                    warmup=plan.warmup,
-                    seed=master_seed + j,
-                    arrival_mode=plan.arrival_mode,
-                )
-                cell.append(run(spec))
-            results[policy].append(cell)
+    results: dict[str, list[list[Any]]] = {p: [] for p in policies}
+    t0 = time.perf_counter()
+    for i, point in enumerate(points):
+        cfgs = point if isinstance(point, list) else [point] * seeds
+        for policy in policies:
+            results[policy].append([
+                keep(run(RunSpec(cfg=cfg, policy=policy, horizon=horizon,
+                                 warmup=warmup, seed=master_seed + j,
+                                 arrival_mode=arrival_mode)))
+                for j, cfg in enumerate(cfgs)
+            ])
+        print(f"wfifo: point {i + 1}/{len(points)} done, "
+              f"{time.perf_counter() - t0:.1f} s elapsed", file=sys.stderr)
     return results
+
+
+def run_plan(plan: ExperimentPlan, master_seed: int) -> dict[str, list[list[Any]]]:
+    """Execute the sweep grid; returns {policy: [[(total, utility)] per value]}."""
+    return run_cells(
+        [plan.config_at(value) for value in plan.values],
+        plan.policies, plan.horizon, plan.seeds, master_seed,
+        keep=lambda m: (m.total_served_rate(), m.utility),
+        warmup=plan.warmup, arrival_mode=plan.arrival_mode,
+    )
 
 
 def plan_rows(plan: ExperimentPlan, results) -> tuple[list[str], list[list[Any]]]:
@@ -461,8 +491,8 @@ def plan_rows(plan: ExperimentPlan, results) -> tuple[list[str], list[list[Any]]
         row: list[Any] = [value]
         for policy in plan.policies:
             cell = results[policy][i]
-            tot_m, tot_se = _mean_se([m.total_served_rate() for m in cell])
-            ut_m, ut_se = _mean_se([m.utility for m in cell])
+            tot_m, tot_se = _mean_se([total for total, _ in cell])
+            ut_m, ut_se = _mean_se([utility for _, utility in cell])
             row += [tot_m, tot_se, ut_m, ut_se]
         rows.append(row)
     return columns, rows
@@ -486,37 +516,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _recipe_cfg(p_rows: list[list[float]], beta: float) -> NetworkConfig:
-    return NetworkConfig(
-        queues=[
-            QueueSpec(flows=[FlowSpec(p_off=p) for p in row]) for row in p_rows
-        ],
-        beta=beta,
-        M=RECIPE_M,
-        r_max=RECIPE_R_MAX,
-    )
+    queues = [QueueSpec(flows=[FlowSpec(p_off=p) for p in row]) for row in p_rows]
+    return NetworkConfig(queues=queues, beta=beta, M=RECIPE_M, r_max=RECIPE_R_MAX)
 
 
-def _sim_rates(
-    cfg: NetworkConfig, policy: str, horizon: int, seeds: int, master: int
-) -> list[list[list[float]]]:
-    """Per-seed nested served rates [seed][queue][flow].
-
-    Served, not admitted: the recipes compare policies by delivered
-    throughput, and an unstable policy admits far more than it delivers.
-    """
-    out = []
-    for j in range(seeds):
-        spec = RunSpec(cfg=cfg, policy=policy, horizon=horizon, seed=master + j)
-        out.append([list(row) for row in run(spec).served_rate])
-    return out
+Flows = tuple[tuple[str, int, int], ...]  # (column label, queue, flow)
 
 
-def _flow_stats(samples: list[list[list[float]]], n: int, k: int) -> tuple[float, float]:
-    return _mean_se([s[n][k] for s in samples])
+def _total(rates) -> float:
+    return math.fsum(v for row in rates for v in row)
 
 
-def _total_stats(samples: list[list[list[float]]]) -> tuple[float, float]:
-    return _mean_se([math.fsum(v for row in s for v in row) for s in samples])
+def _pick(rates, flows: Optional[Flows]) -> list[float]:
+    """Per-flow entries of a nested rate table, or its total when flows is None."""
+    if flows is None:
+        return [_total(rates)]
+    return [rates[n][k] for _, n, k in flows]
 
 
 _P2_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
@@ -525,66 +540,96 @@ _BETA_GRID = [1.0, 1.5, 2.0, 2.5, 3.0]
 _K_GRID = [2, 4, 6, 8, 10]
 
 
-def _fig5(args, panel: str) -> tuple[list[str], list[list[Any]], dict]:
-    desc = {"figure": f"fig5{panel}", "p1": 0.1, "p2": _P2_GRID, "beta": 1.0,
-            "M": RECIPE_M, "r_max": RECIPE_R_MAX}
+@dataclass(frozen=True)
+class Recipe:
+    """A grid figure: per-policy served-rate means over seeds at each grid
+    value, then the dFC plan's rates (optional), then the standard errors.
+    Served, not admitted: an unstable policy admits far more than it delivers.
+    """
+
+    desc: dict  # hashed into the CSV header
+    column: str  # name of the swept column
+    grid: list
+    config: Callable[[Any], NetworkConfig]
+    policies: tuple[str, ...]
+    flows: Optional[Flows]  # None: one total per policy
+    dfc: bool
+
+
+def _grid_rows(r: Recipe, args) -> tuple[list[str], list[list[Any]], dict]:
+    labels = ["total"] if r.flows is None else [label for label, _, _ in r.flows]
+    cfgs = [r.config(x) for x in r.grid]
+    sims = run_cells(cfgs, r.policies, args.horizon, args.seeds, args.seed,
+                     keep=lambda m: _pick(m.served_rate, r.flows))
     rows = []
-    for p2 in _P2_GRID:
-        cfg = _recipe_cfg([[0.1, p2]], beta=1.0)
-        qfc = _sim_rates(cfg, "qfc", args.horizon, args.seeds, args.seed)
-        mw = _sim_rates(cfg, "maxweight", args.horizon, args.seeds, args.seed)
-        sol = solve_dfc(cfg)
-        if panel == "a":
-            l1q, l1q_se = _flow_stats(qfc, 0, 0)
-            l2q, l2q_se = _flow_stats(qfc, 0, 1)
-            l1m, l1m_se = _flow_stats(mw, 0, 0)
-            l2m, l2m_se = _flow_stats(mw, 0, 1)
-            rows.append([
-                p2, l1q, l2q, l1m, l2m,
-                sol.lambdas[0][0], sol.lambdas[0][1],
-                l1q_se, l2q_se, l1m_se, l2m_se,
-            ])
-        else:
-            tq, tq_se = _total_stats(qfc)
-            tm, tm_se = _total_stats(mw)
-            rows.append([
-                p2, tq, tm, math.fsum(sol.lambdas[0]), tq_se, tm_se,
-            ])
-    if panel == "a":
-        columns = ["p2", "lambda1_qfc", "lambda2_qfc", "lambda1_mw",
-                   "lambda2_mw", "lambda1_dfc", "lambda2_dfc",
-                   "lambda1_qfc_se", "lambda2_qfc_se", "lambda1_mw_se",
-                   "lambda2_mw_se"]
-    else:
-        columns = ["p2", "total_qfc", "total_mw", "total_dfc",
-                   "total_qfc_se", "total_mw_se"]
-    return columns, rows, desc
+    for i, (x, cfg) in enumerate(zip(r.grid, cfgs)):
+        stats = [_mean_se([s[c] for s in sims[p][i]])
+                 for p in r.policies for c in range(len(labels))]
+        dfc = _pick(solve_dfc(cfg).lambdas, r.flows) if r.dfc else []
+        rows.append([x] + [m for m, _ in stats] + dfc + [se for _, se in stats])
+    tags = ["mw" if p == "maxweight" else p for p in r.policies]
+    columns = ([r.column]
+               + [f"{label}_{t}" for t in tags for label in labels]
+               + ([f"{label}_dfc" for label in labels] if r.dfc else [])
+               + [f"{label}_{t}_se" for t in tags for label in labels])
+    return columns, rows, r.desc
+
+
+def _desc(figure: str, **fields: Any) -> dict:
+    return {"figure": figure, **fields, "M": RECIPE_M, "r_max": RECIPE_R_MAX}
+
+
+def _fig5_cfg(p2: float) -> NetworkConfig:
+    return _recipe_cfg([[0.1, p2]], beta=1.0)
+
+
+def _fig8_cfg(pm2: float) -> NetworkConfig:
+    return _recipe_cfg([[0.0, 0.0], [0.0, pm2]], beta=2.0)
+
+
+_FIG5_FLOWS = (("lambda1", 0, 0), ("lambda2", 0, 1))
+_FIG8_FLOWS = (("lambda_n1", 0, 0), ("lambda_n2", 0, 1),
+               ("lambda_m1", 1, 0), ("lambda_m2", 1, 1))
+_BOTH = ("qfc", "maxweight")
+
+RECIPES = {
+    "fig5a": Recipe(_desc("fig5a", p1=0.1, p2=_P2_GRID, beta=1.0), "p2",
+                    _P2_GRID, _fig5_cfg, _BOTH, _FIG5_FLOWS, dfc=True),
+    "fig5b": Recipe(_desc("fig5b", p1=0.1, p2=_P2_GRID, beta=1.0), "p2",
+                    _P2_GRID, _fig5_cfg, _BOTH, None, dfc=True),
+    "fig7a": Recipe(_desc("fig7a", p=[[0.1, 0.5], [0.1, 0.5]], beta=_BETA_GRID),
+                    "beta", _BETA_GRID,
+                    lambda b: _recipe_cfg([[0.1, 0.5], [0.1, 0.5]], beta=b),
+                    _BOTH, None, dfc=True),
+    "fig7b": Recipe(_desc("fig7b", p1=0.1, p2=_UNIT_GRID, beta=2.0), "p2",
+                    _UNIT_GRID,
+                    lambda p2: _recipe_cfg([[0.1, p2], [0.1, p2]], beta=2.0),
+                    _BOTH, None, dfc=True),
+    "fig8a": Recipe(_desc("fig8a", p_n=[0.0, 0.0], p_m1=0.0, p_m2=_UNIT_GRID,
+                          beta=2.0), "pm2",
+                    _UNIT_GRID, _fig8_cfg, ("qfc",), _FIG8_FLOWS, dfc=True),
+    "fig8b": Recipe(_desc("fig8b", p_n=[0.0, 0.0], p_m1=0.0, p_m2=_UNIT_GRID,
+                          beta=2.0), "pm2",
+                    _UNIT_GRID, _fig8_cfg, ("maxweight",), _FIG8_FLOWS, dfc=False),
+}
 
 
 def _fig6(args) -> tuple[list[str], list[list[Any]], dict]:
-    desc = {"figure": "fig6", "K": _K_GRID, "beta": 1.0, "M": RECIPE_M,
-            "r_max": RECIPE_R_MAX, "p": "uniform[0,1] per seed"}
+    desc = _desc("fig6", K=_K_GRID, beta=1.0, p="uniform[0,1] per seed")
     # each replicate draws one pool of channels and reuses its first K
     # entries at every grid point, so the K trend is compared on nested
     # instances instead of independent redraws
-    pools = [
-        np.random.default_rng(stream_seed(args.seed, f"fig6:rep={j}"))
-        .random(max(_K_GRID))
-        for j in range(args.seeds)
-    ]
+    pools = [np.random.default_rng(stream_seed(args.seed, f"fig6:rep={j}"))
+             .random(max(_K_GRID)) for j in range(args.seeds)]
+    points = [[_recipe_cfg([pool[:K].tolist()], beta=1.0) for pool in pools]
+              for K in _K_GRID]
+    sims = run_cells(points, _BOTH, args.horizon, args.seeds, args.seed,
+                     keep=lambda m: _total(m.served_rate))
     rows = []
-    for K in _K_GRID:
-        tot_q, tot_m, tot_d = [], [], []
-        for j in range(args.seeds):
-            cfg = _recipe_cfg([pools[j][:K].tolist()], beta=1.0)
-            q = _sim_rates(cfg, "qfc", args.horizon, 1, args.seed + j)[0]
-            m = _sim_rates(cfg, "maxweight", args.horizon, 1, args.seed + j)[0]
-            tot_q.append(math.fsum(v for row in q for v in row))
-            tot_m.append(math.fsum(v for row in m for v in row))
-            tot_d.append(math.fsum(v for row in solve_dfc(cfg).lambdas for v in row))
-        tq, tq_se = _mean_se(tot_q)
-        tm, tm_se = _mean_se(tot_m)
-        td, td_se = _mean_se(tot_d)
+    for i, (K, cfgs) in enumerate(zip(_K_GRID, points)):
+        tq, tq_se = _mean_se(sims["qfc"][i])
+        tm, tm_se = _mean_se(sims["maxweight"][i])
+        td, td_se = _mean_se([_total(solve_dfc(cfg).lambdas) for cfg in cfgs])
         # ratio of seed means: per-seed ratios blow up whenever a draw
         # hands max-weight a near-dead flow and its delivered total ~ 0
         if tm > 1e-9:
@@ -599,78 +644,8 @@ def _fig6(args) -> tuple[list[str], list[list[Any]], dict]:
     return columns, rows, desc
 
 
-def _fig7(args, panel: str) -> tuple[list[str], list[list[Any]], dict]:
-    if panel == "a":
-        sweep = _BETA_GRID
-        desc = {"figure": "fig7a", "p": [[0.1, 0.5], [0.1, 0.5]],
-                "beta": sweep, "M": RECIPE_M, "r_max": RECIPE_R_MAX}
-        col0 = "beta"
-    else:
-        sweep = _UNIT_GRID
-        desc = {"figure": "fig7b", "p1": 0.1, "p2": sweep, "beta": 2.0,
-                "M": RECIPE_M, "r_max": RECIPE_R_MAX}
-        col0 = "p2"
-    rows = []
-    for v in sweep:
-        if panel == "a":
-            cfg = _recipe_cfg([[0.1, 0.5], [0.1, 0.5]], beta=v)
-        else:
-            cfg = _recipe_cfg([[0.1, v], [0.1, v]], beta=2.0)
-        qfc = _sim_rates(cfg, "qfc", args.horizon, args.seeds, args.seed)
-        mw = _sim_rates(cfg, "maxweight", args.horizon, args.seeds, args.seed)
-        sol = solve_dfc(cfg)
-        tq, tq_se = _total_stats(qfc)
-        tm, tm_se = _total_stats(mw)
-        td = math.fsum(v2 for row in sol.lambdas for v2 in row)
-        rows.append([v, tq, tm, td, tq_se, tm_se])
-    columns = [col0, "total_qfc", "total_mw", "total_dfc",
-               "total_qfc_se", "total_mw_se"]
-    return columns, rows, desc
-
-
-def _fig8(args, panel: str) -> tuple[list[str], list[list[Any]], dict]:
-    desc = {"figure": f"fig8{panel}", "p_n": [0.0, 0.0], "p_m1": 0.0,
-            "p_m2": _UNIT_GRID, "beta": 2.0, "M": RECIPE_M,
-            "r_max": RECIPE_R_MAX}
-    flows = [("n1", 0, 0), ("n2", 0, 1), ("m1", 1, 0), ("m2", 1, 1)]
-    rows = []
-    for pm2 in _UNIT_GRID:
-        cfg = _recipe_cfg([[0.0, 0.0], [0.0, pm2]], beta=2.0)
-        if panel == "a":
-            sim = _sim_rates(cfg, "qfc", args.horizon, args.seeds, args.seed)
-            sol = solve_dfc(cfg)
-            stats = [_flow_stats(sim, n, k) for _, n, k in flows]
-            rows.append(
-                [pm2]
-                + [s[0] for s in stats]
-                + [sol.lambdas[n][k] for _, n, k in flows]
-                + [s[1] for s in stats]
-            )
-        else:
-            sim = _sim_rates(cfg, "maxweight", args.horizon, args.seeds, args.seed)
-            stats = [_flow_stats(sim, n, k) for _, n, k in flows]
-            rows.append([pm2] + [s[0] for s in stats] + [s[1] for s in stats])
-    if panel == "a":
-        columns = (["pm2"]
-                   + [f"lambda_{f}_qfc" for f, _, _ in flows]
-                   + [f"lambda_{f}_dfc" for f, _, _ in flows]
-                   + [f"lambda_{f}_qfc_se" for f, _, _ in flows])
-    else:
-        columns = (["pm2"]
-                   + [f"lambda_{f}_mw" for f, _, _ in flows]
-                   + [f"lambda_{f}_mw_se" for f, _, _ in flows])
-    return columns, rows, desc
-
-
-FIGURES = {
-    "fig5a": lambda args: _fig5(args, "a"),
-    "fig5b": lambda args: _fig5(args, "b"),
-    "fig6": _fig6,
-    "fig7a": lambda args: _fig7(args, "a"),
-    "fig7b": lambda args: _fig7(args, "b"),
-    "fig8a": lambda args: _fig8(args, "a"),
-    "fig8b": lambda args: _fig8(args, "b"),
-}
+FIGURES = {name: functools.partial(_grid_rows, r) for name, r in RECIPES.items()}
+FIGURES["fig6"] = _fig6
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
@@ -752,6 +727,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -5,9 +6,21 @@ import pytest
 
 from helpers import make_cfg
 from wfifo import ConfigError, RunSpec, run
-from wfifo.cli import ExperimentPlan, main, plan_rows, run_plan
+from wfifo.cli import ExperimentPlan, main, plan_rows, run_cells, run_plan
 
 FIG7A_ROWS = [[0.1, 0.5], [0.1, 0.5]]
+
+# a two-value sweep over a nested field with every budget field set; its
+# CSV is pinned below, so the literal config (not a builder) is hashed
+SMALL_PLAN = dict(
+    config={"beta": 1.5, "M": 100.0, "r_max": 2.0,
+            "utility": {"kind": "log", "weight": 1.0},
+            "queues": [{"flows": [{"p_off": 0.1}, {"p_off": 0.5}]},
+                       {"flows": [{"p_off": 0.2}, {"p_off": 0.4}]}]},
+    parameter="queues[1].flows[1].p_off", values=[0.2, 0.7], seeds=2,
+    policies=["qfc", "maxweight", "dfc-static"], horizon=2000, warmup=200,
+    arrival_mode="stochastic",
+)
 
 
 def write_cfg(tmp_path, name, p_rows, lambdas=None, **kw):
@@ -213,17 +226,22 @@ def test_degenerate_sweep_matches_direct_run(tmp_path, capsys):
 
 
 def test_policies_share_channel_streams():
-    plan = ExperimentPlan(
-        config=make_cfg([[0.2, 0.5]], M=50.0).to_dict(),
-        parameter="beta", values=[1.0], seeds=2,
-        policies=["qfc", "maxweight"], horizon=2000,
-    )
-    results = run_plan(plan, master_seed=7)
+    results = run_cells([make_cfg([[0.2, 0.5]], M=50.0)], ["qfc", "maxweight"],
+                        horizon=2000, seeds=2, master_seed=7, keep=lambda m: m)
     for j in range(2):
         a = results["qfc"][0][j]
         b = results["maxweight"][0][j]
         assert a.rng_streams == b.rng_streams
         assert a.seed == b.seed == 7 + j
+
+
+def test_run_cells_stores_only_what_keep_returns():
+    cfg = make_cfg([[0.2, 0.5]], M=50.0)
+    # a point is one config, or one config per replicate
+    points = [cfg, [cfg, make_cfg([[0.3]], M=50.0), cfg]]
+    results = run_cells(points, ["qfc", "maxweight"], horizon=50, seeds=3,
+                        master_seed=11, keep=lambda m: m.seed)
+    assert results == {p: [[11, 12, 13]] * 2 for p in ("qfc", "maxweight")}
 
 
 def test_qfc_total_rate_grows_with_beta():
@@ -278,6 +296,55 @@ def test_plan_unusable_budget_is_a_one_line_error(tmp_path, capsys, budget):
     assert err.startswith("error: plan: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field", [
+    {"horizon": "x"}, {"horizon": None}, {"horizon": 100.5}, {"horizon": True},
+    {"seeds": "x"}, {"seeds": True}, {"warmup": "x"}, {"warmup": [1]},
+    {"values": 3}, {"values": "1.0"}, {"policies": 5}, {"policies": "qfc"},
+    {"arrival_mode": "burst"},
+])
+def test_plan_badly_typed_field_is_a_one_line_error(tmp_path, capsys, field):
+    fields = dict(config=make_cfg([[0.2]]).to_dict(), parameter="beta",
+                  values=[1.0], seeds=1, policies=["qfc"], horizon=100)
+    plan = write_plan(tmp_path, "p.json", **(fields | field))
+    assert main(["sweep", "--plan", plan]) == 1
+    captured = capsys.readouterr()
+    name = next(iter(field))
+    assert captured.err.startswith(f"error: plan: {name}: must be")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_plan_integral_json_numbers_are_counts(tmp_path):
+    fields = dict(config=make_cfg([[0.2]]).to_dict(), parameter="beta",
+                  values=[1.0], seeds=2.0, policies=["qfc"], horizon=1e3,
+                  warmup=1e2)
+    plan = ExperimentPlan.load(write_plan(tmp_path, "p.json", **fields))
+    assert (plan.seeds, plan.horizon, plan.warmup) == (2, 1000, 100)
+    assert all(type(v) is int for v in (plan.seeds, plan.horizon, plan.warmup))
+
+
+def test_sweep_output_path_error_is_one_line(tmp_path, capsys):
+    plan = write_plan(tmp_path, "p.json", config=make_cfg([[0.2]]).to_dict(),
+                      parameter="beta", values=[1.0], seeds=1,
+                      policies=["qfc"], horizon=50)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "x.csv")
+    assert main(["sweep", "--plan", plan, "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: ") and not any("Traceback" in e for e in err)
+
+
+def test_sweep_prints_one_progress_line_per_value(tmp_path, capsys):
+    plan = write_plan(tmp_path, "p.json", **SMALL_PLAN)
+    assert main(["sweep", "--plan", plan, "--seed", "3"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == "8e5f7a046680d228"
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("wfifo: point 1/2 ") and lines[0].endswith(" s elapsed")
+    assert lines[1].startswith("wfifo: point 2/2 ")
+
+
 def test_plan_sweeps_nested_fields(tmp_path):
     plan = ExperimentPlan(
         config=make_cfg([[0.2, 0.5]]).to_dict(),
@@ -301,6 +368,44 @@ def test_recipe_unusable_budget_is_a_one_line_error(tmp_path, capsys, budget, fi
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: must be >= 1") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+def test_recipe_output_path_error_is_one_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["reproduce-fig", "fig6", "--seeds", "1", "--horizon", "50",
+                 "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: ") and not any("Traceback" in e for e in err)
+
+
+# sha256 prefixes of the CSVs at --seeds 2 --horizon 2000 --seed 0, as the
+# per-figure recipe loops wrote them before the recipes became table entries
+RECIPE_SHA = {
+    "fig5a": "6d7df1dfe86cb2ad",
+    "fig5b": "a9a6d0bdebfb30f1",
+    "fig6": "cf11689308a68239",
+    "fig7a": "6f521e2c319f6b0d",
+    "fig7b": "0c52545c98872740",
+    "fig8a": "6d0719d33a8643ef",
+    "fig8b": "a41a2767cd38622a",
+    "sweep": "8e5f7a046680d228",  # SMALL_PLAN at --seed 3
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECIPE_SHA))
+def test_csv_bytes_are_pinned(tmp_path, capsys, name):
+    if name == "sweep":
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--plan", write_plan(tmp_path, "p.json", **SMALL_PLAN),
+                "--seed", "3", "--out", str(out)]
+    else:
+        out = tmp_path / f"{name}.csv"
+        argv = ["reproduce-fig", name, "--seeds", "2", "--horizon", "2000",
+                "--seed", "0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == RECIPE_SHA[name]
 
 
 def test_fig5a_recipe_contract(tmp_path, capsys):
