@@ -23,7 +23,7 @@ from .core import (
     state_index,
     state_vector,
 )
-from .dfc import DfcSolution, project_simplex, solve_dfc
+from .dfc import DfcSolution, solve_dfc
 from .markov import (
     SteadyState,
     hol_distribution,
@@ -93,7 +93,6 @@ __all__ = [
     "inner_coefficient",
     "joint_state_hol_prob",
     "load_config",
-    "project_simplex",
     "run",
     "run_saturated",
     "serve_if_on_policy",

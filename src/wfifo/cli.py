@@ -12,6 +12,7 @@ headers imply byte-identical bodies.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -21,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import IO, Any, Callable, ContextManager, Optional, Sequence
 
 import numpy as np
 
@@ -69,8 +70,19 @@ def _digest_obj(obj: Any) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _open_csv(out: Optional[str]) -> ContextManager[IO[str]]:
+    """Open the CSV destination (stdout when None), creating its directory.
+
+    Called before the first run, so an unusable path fails at once.
+    """
+    if out is None:
+        return contextlib.nullcontext(sys.stdout)
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    return open(out, "w", encoding="utf-8", newline="\n")
+
+
 def _write_csv(
-    out: Optional[str],
+    fh: IO[str],
     digest: str,
     seed: int,
     horizon: int,
@@ -83,13 +95,7 @@ def _write_csv(
     ]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    fh.write("\n".join(lines) + "\n")
 
 
 def _mean_se(xs: list[float]) -> tuple[float, float]:
@@ -430,9 +436,15 @@ class ExperimentPlan:
                     f"plan: unknown policy {p!r} (choose from "
                     + ", ".join(_POLICY_CHOICES) + ")"
                 )
-        # every swept value must land inside the field's domain
+        # every swept value must land inside the field's domain, with the
+        # arrival rates a static policy replays
         for value in self.values:
-            self.config_at(value)
+            missing = self.config_at(value).missing_lambda_fields()
+            if "static" in self.policies and missing:
+                raise ConfigError(
+                    f"plan: static policy needs explicit arrival rates at "
+                    f"value {value!r}; missing: " + ", ".join(missing)
+                )
 
     def config_at(self, value: Any) -> NetworkConfig:
         point = json.loads(json.dumps(self.config))
@@ -500,15 +512,15 @@ def plan_rows(plan: ExperimentPlan, results) -> tuple[list[str], list[list[Any]]
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     plan = ExperimentPlan.load(args.plan)
-    results = run_plan(plan, args.seed)
-    columns, rows = plan_rows(plan, results)
     digest = _digest_obj(
         {"plan": {"config": plan.config, "parameter": plan.parameter,
                   "values": plan.values, "seeds": plan.seeds,
                   "policies": plan.policies, "horizon": plan.horizon,
                   "warmup": plan.warmup, "arrival_mode": plan.arrival_mode}}
     )
-    _write_csv(args.out, digest, args.seed, plan.horizon, columns, rows)
+    with _open_csv(args.out) as fh:
+        columns, rows = plan_rows(plan, run_plan(plan, args.seed))
+        _write_csv(fh, digest, args.seed, plan.horizon, columns, rows)
     return 0
 
 
@@ -652,9 +664,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds: must be >= 1, got {args.seeds}")
     _check_budget(args.horizon, None, 1, "--")
-    columns, rows, desc = FIGURES[args.figure](args)
     out = str(Path(args.out) / f"{args.figure}.csv")
-    _write_csv(out, _digest_obj(desc), args.seed, args.horizon, columns, rows)
+    with _open_csv(out) as fh:
+        columns, rows, desc = FIGURES[args.figure](args)
+        _write_csv(fh, _digest_obj(desc), args.seed, args.horizon, columns, rows)
     print(f"wrote {out}")
     return 0
 

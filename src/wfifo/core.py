@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -74,7 +75,7 @@ class FlowSpec:
         if self.lam is not None:
             if not isinstance(self.lam, (int, float)) or isinstance(self.lam, bool):
                 errs.append(f"{path}.lambda: must be a number, got {self.lam!r}")
-            elif not (self.lam >= 0.0) or not math.isfinite(self.lam):
+            elif not (0.0 <= self.lam <= sys.float_info.max):  # NaN fails too
                 errs.append(f"{path}.lambda: must be finite and >= 0, got {self.lam!r}")
         return errs
 
@@ -187,11 +188,14 @@ def _expect_list(obj: Any, path: str) -> list:
 
 
 def _number(obj: dict, key: str, default: float, path: str) -> float:
+    # a JSON number, as for p_off and lambda: not a bool, not a numeric string
     value = obj.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: must be a number, got {value!r}") from None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{path}: must be a number, got {value!r}")
 
 
 def config_from_dict(data: Any) -> NetworkConfig:

@@ -9,21 +9,29 @@ turns rate planning into a concave program over (a, tau):
 with the service coefficients c_n(s) from `stability.inner_coefficients`.
 
 For the supported logarithmic utility the objective is increasing in each
-a_n, so a_n is eliminated (a_n = sum_s c_n(s) tau[s, n]) and the residual
-concave objective
+a_n, so a_n = sum_s c_n(s) tau[s, n] and what is left,
 
-    F(tau) = sum_n w_n * log(sum_s c_n(s) tau[s, n]) + const
+    F(tau) = sum_n w_n * log(sum_s c_n(s) tau[s, n]) + const,
 
-is maximized by projected gradient ascent with Armijo backtracking, one
-simplex {x >= 0, sum x <= 1} per channel state. w_n counts queue n's flows:
-each flow's log term contributes marginal weight 1/a_n regardless of its
-channel, so flows with p_on = 0 keep their place in the weight while their
-admitted rate a_n * 0**beta stays 0 (their unbounded-below constant terms
-are dropped from the reported objective).
+is the Eisenberg-Gale program of a linear Fisher market: the queues are the
+buyers, with budgets w_n, and the channel states are the goods, one unit
+each, which queue n values at c_n(s). w_n counts queue n's flows: each
+flow's log term contributes marginal weight 1/a_n regardless of its channel,
+so flows with p_on = 0 keep their place in the weight while their admitted
+rate a_n * 0**beta stays 0 (their unbounded-below constant terms are dropped
+from the reported objective).
 
-Convergence is certified by the linearization gap max_d <grad, d - tau>
-over the feasible set, which bounds the objective suboptimality from above;
-the solver reports it as kkt_residual.
+The equilibrium is reached by proportional-response dynamics (Wu & Zhang,
+STOC 2007; Birnbaum, Devanur & Xiao, EC 2011): each queue bids on each
+state in proportion to the utility it got there, b[s, n] = tau[s, n] *
+g[s, n] with g = grad F; a state's price is its total bid p_s; each queue
+gets the share tau[s, n] = b[s, n] / p_s, and a state nobody bids on grants
+nothing. Every iterate is a grant table, so there is no projection and no
+step size.
+
+Convergence is certified by the linearization gap max_d <g, d - tau> over
+the feasible set, which bounds the objective suboptimality from above; the
+solver reports the gap of the table it returns as kkt_residual.
 """
 
 from __future__ import annotations
@@ -39,33 +47,6 @@ from .core import ConfigError, NetworkConfig
 from .stability import inner_coefficient, inner_coefficients  # noqa: F401
 
 LOG_FLOOR = 1e-12
-
-ARMIJO_SHRINK = 0.5
-ARMIJO_SLOPE = 1e-4
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x : x >= 0, sum(x) <= 1}, row by row.
-
-    `v` is one vector or a (rows, k) stack, each row projected on its own.
-    If clipping negatives already lands inside, that is the projection;
-    otherwise project onto the face sum(x) = 1 by the sorted-threshold rule
-    (Duchi et al., ICML 2008), with rho the last index passing its test.
-    Rows are summed in C order, so a row of a stack gets the same bits as
-    the same row projected alone.
-    """
-    v = np.ascontiguousarray(v, dtype=float)
-    clipped = np.maximum(v, 0.0)
-    inside = clipped.sum(axis=-1, keepdims=True) <= 1.0
-    if inside.all():
-        return clipped
-    k = v.shape[-1]
-    u = np.sort(v, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1) - 1.0
-    passed = u * np.arange(1, k + 1) > css
-    rho = k - 1 - np.argmax(passed[..., ::-1], axis=-1, keepdims=True)
-    theta = np.take_along_axis(css, rho, axis=-1) / (rho + 1.0)
-    return np.where(inside, clipped, np.maximum(v - theta, 0.0))
 
 
 @dataclass
@@ -104,17 +85,25 @@ def _objective_const(cfg: NetworkConfig) -> float:
     )
 
 
+def _scales_and_gradient(
+    c: np.ndarray, w: np.ndarray, tau: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scales a_n = sum_s c_n(s) tau[s, n] (floored) and g[s, n] = w_n c_n(s) / a_n.
+
+    `c` is the (N, 2**N) coefficient table and `tau` a (2**N, N) grant
+    table; g, the gradient of F at tau, has the shape of tau.
+    """
+    a = np.maximum((c * tau.T).sum(axis=1), LOG_FLOOR)
+    return a, ((w / a)[:, None] * c).T
+
+
 def objective_and_gradient(
     cfg: NetworkConfig, tau: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Reduced objective F(tau) and its gradient, for a (2**N, N) grant table."""
-    c = inner_coefficients(cfg)
     w = _weights(cfg)
-    const = _objective_const(cfg)
-    a = np.maximum((c * tau.T).sum(axis=1), LOG_FLOOR)
-    obj = float(np.dot(w, np.log(a))) + const
-    grad = (w / a)[:, None] * c  # shape (N, 2**N)
-    return obj, grad.T.copy()
+    a, g = _scales_and_gradient(inner_coefficients(cfg), w, tau)
+    return float(np.dot(w, np.log(a))) + _objective_const(cfg), g
 
 
 def solve_dfc(
@@ -124,48 +113,30 @@ def solve_dfc(
 ) -> DfcSolution:
     """Maximize the proportional-ray utility over (a, tau)."""
     n_queues = cfg.n_queues
-    n_states = 1 << n_queues
     c = inner_coefficients(cfg)  # (N, S)
     w = _weights(cfg)  # (N,)
-    const = _objective_const(cfg)
     if not np.any(w > 0):
         raise ConfigError(
             "queues[*].flows[*].p_off: every flow has p_off = 1, so no queue "
             "can carry traffic and there is no rate plan"
         )
 
-    def f_of(tau_sn: np.ndarray) -> tuple[float, np.ndarray]:
-        a = np.maximum((c * tau_sn.T).sum(axis=1), LOG_FLOOR)
-        return float(np.dot(w, np.log(a))), a
-
-    tau = np.full((n_states, n_queues), 1.0 / n_queues)
-    fval, a = f_of(tau)
-    step = 1.0
+    tau = np.full((1 << n_queues, n_queues), 1.0 / n_queues)
+    a, g = _scales_and_gradient(c, w, tau)
     gap = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        grad = ((w / a)[:, None] * c).T  # (S, N)
-        # linearization gap: per state the best vertex is the largest
-        # gradient entry (or idling when none is positive).
-        best = np.maximum(grad.max(axis=1), 0.0)
-        gap = float(best.sum() - (grad * tau).sum())
+        bids = tau * g
+        prices = bids.sum(axis=1, keepdims=True)
+        tau = np.divide(bids, prices, out=np.zeros_like(bids), where=prices > 0)
+        a, g = _scales_and_gradient(c, w, tau)
+        # g >= 0, so the best point of each state's simplex grants the whole
+        # slot to the largest gradient entry
+        gap = float(g.max(axis=1).sum() - (g * tau).sum())
         if gap <= tol:
             break
-        accepted = False
-        while step > 1e-16:
-            cand = project_simplex(tau + step * grad)
-            f_new, a_new = f_of(cand)
-            if f_new >= fval + ARMIJO_SLOPE * float((grad * (cand - tau)).sum()):
-                accepted = True
-                break
-            step *= ARMIJO_SHRINK
-        if not accepted:
-            break  # step collapsed; gap above reports how close we got
-        tau, fval, a = cand, f_new, a_new
-        step *= 2.0
 
-    a_final = (c * tau.T).sum(axis=1)
-    a_out = tuple(float(x) if x > LOG_FLOOR else 0.0 for x in a_final)
+    a_out = tuple(float(x) if x > LOG_FLOOR else 0.0 for x in a)
     lambdas = tuple(
         tuple(a_out[n] * p**cfg.beta for p in cfg.p_on_row(n))
         for n in range(n_queues)
@@ -174,9 +145,8 @@ def solve_dfc(
         a=a_out,
         tau=tau,
         lambdas=lambdas,
-        objective=fval + const,
+        objective=float(np.dot(w, np.log(a))) + _objective_const(cfg),
         kkt_residual=gap,
         iterations=it,
         converged=gap <= tol,
     )
-

@@ -19,13 +19,17 @@ import numpy as np
 import pytest
 
 from helpers import dfc_gap_vs_oracle, make_cfg, single_queue_cfg
-from wfifo import RunSpec, run
+from wfifo import RunSpec, SchedulingPolicy, run
 from wfifo.cli import _fig6
-from wfifo.dfc import objective_and_gradient, project_simplex, solve_dfc
+from wfifo.dfc import objective_and_gradient, solve_dfc
 from wfifo.markov import joint_state_hol_prob, single_queue_steady_state
 from wfifo.policies import Policy, StaticPolicy, serve_if_on_policy
 from wfifo.sim import detect_stability, run_saturated
-from wfifo.stability import best_policy_search, sweep_two_queue_boundary
+from wfifo.stability import (
+    best_policy_search,
+    inner_coefficients,
+    sweep_two_queue_boundary,
+)
 
 FIG7A_ROWS = [[0.1, 0.5], [0.1, 0.5]]
 
@@ -276,11 +280,16 @@ def test_criterion_11_property_suites():
         run(RunSpec(cfg=single_queue_cfg([1.0]), policy=Rogue(), horizon=100,
                     seed=0))
 
-    # projection is idempotent
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        once = project_simplex(rng.uniform(-1.0, 2.0, int(rng.integers(1, 6))))
-        assert np.allclose(project_simplex(once), once, atol=1e-12)
+    # every planner iterate is a grant table: a state some queue can use
+    # grants the whole slot, a state no queue can use grants nothing
+    for rows in ([[0.2, 0.6], [0.4]], [[0.1], [1.0, 1.0], [0.0, 0.5]]):
+        cfg = make_cfg(rows, beta=1.5)
+        usable = (inner_coefficients(cfg) > 0).any(axis=0)
+        for k in range(1, 6):
+            tau = solve_dfc(cfg, max_iter=k).tau
+            SchedulingPolicy(tau)
+            assert np.allclose(tau.sum(axis=1), np.where(usable, 1.0, 0.0),
+                               rtol=0.0, atol=1e-12)
 
     # gradient agrees with central differences
     cfg = make_cfg([[0.2, 0.6], [0.4]], beta=1.5)

@@ -6,7 +6,17 @@ import pytest
 
 from helpers import make_cfg
 from wfifo import ConfigError, RunSpec, run
-from wfifo.cli import ExperimentPlan, main, plan_rows, run_cells, run_plan
+from wfifo.cli import (
+    _UNIT_GRID,
+    ExperimentPlan,
+    _fig8_cfg,
+    main,
+    plan_rows,
+    run_cells,
+    run_plan,
+)
+from wfifo.dfc import solve_dfc
+from wfifo.stability import inner_coefficients
 
 FIG7A_ROWS = [[0.1, 0.5], [0.1, 0.5]]
 
@@ -276,6 +286,12 @@ def test_plan_validation_errors(tmp_path):
         load(parameter="queues[0].flows[1].p_off", values=[1.5])
     with pytest.raises(ConfigError, match="missing field"):
         ExperimentPlan.load(write_plan(tmp_path, "empty.json", config=base))
+    # a static policy replays the config's rates, so it needs them
+    with pytest.raises(ConfigError, match="static policy needs explicit arrival "
+                       r"rates .* queues\[0\]\.flows\[0\]\.lambda"):
+        load(policies=["qfc", "static"])
+    rated = make_cfg([[0.2, 0.5]], lambdas=[[0.1, 0.2]]).to_dict()
+    assert load(config=rated, policies=["static"]).policies == ["static"]
 
 
 def test_plan_cli_error_exit_code(tmp_path, capsys):
@@ -330,8 +346,9 @@ def test_sweep_output_path_error_is_one_line(tmp_path, capsys):
     blocker.write_text("")
     out = str(blocker / "x.csv")
     assert main(["sweep", "--plan", plan, "--out", out]) == 1
+    # the path is opened before the first run, so no progress line comes first
     err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith("error: ") and not any("Traceback" in e for e in err)
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_sweep_prints_one_progress_line_per_value(tmp_path, capsys):
@@ -376,18 +393,20 @@ def test_recipe_output_path_error_is_one_line(tmp_path, capsys):
     assert main(["reproduce-fig", "fig6", "--seeds", "1", "--horizon", "50",
                  "--out", str(blocker)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith("error: ") and not any("Traceback" in e for e in err)
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 # sha256 prefixes of the CSVs at --seeds 2 --horizon 2000 --seed 0, as the
-# per-figure recipe loops wrote them before the recipes became table entries
+# per-figure recipe loops wrote them before the recipes became table entries;
+# fig8a's one planner cell is the correctly rounded optimum of the closed
+# form below since the planner became proportional response
 RECIPE_SHA = {
     "fig5a": "6d7df1dfe86cb2ad",
     "fig5b": "a9a6d0bdebfb30f1",
     "fig6": "cf11689308a68239",
     "fig7a": "6f521e2c319f6b0d",
     "fig7b": "0c52545c98872740",
-    "fig8a": "6d0719d33a8643ef",
+    "fig8a": "9a5b3bf54417c69b",  # pm2=0.3 lambda_m2_dfc 0.164429 -> 0.16443
     "fig8b": "a41a2767cd38622a",
     "sweep": "8e5f7a046680d228",  # SMALL_PLAN at --seed 3
 }
@@ -436,3 +455,20 @@ def test_fig6_recipe_reports_rate_ratio(tmp_path, capsys):
     header = lines[1].split(",")
     assert "ratio_qfc_mw" in header
     assert [row.split(",")[0] for row in lines[2:]] == ["2", "4", "6", "8", "10"]
+
+
+def test_fig8_dfc_rates_match_the_closed_form():
+    # queue n's flows are always ON, so the only contended state is both ON
+    # (0b11) and the queues' equal weights split it where their marginal
+    # utilities meet: x = (c_n(0b11) - c_n(0b01)) / (2 c_n(0b11)) to queue n
+    for pm2 in _UNIT_GRID:
+        cfg = _fig8_cfg(pm2)
+        c = inner_coefficients(cfg)
+        x = (c[0, 0b11] - c[0, 0b01]) / (2.0 * c[0, 0b11])
+        assert 0.0 < x < 1.0
+        a_n = c[0, 0b01] + x * c[0, 0b11]
+        a_m = (1.0 - x) * c[1, 0b11]
+        want = [(a_n, a_n), (a_m, a_m * (1.0 - pm2) ** 2)]
+        got = solve_dfc(cfg).lambdas
+        for got_row, want_row in zip(got, want):
+            assert got_row == pytest.approx(want_row, abs=1e-6), pm2

@@ -3,7 +3,7 @@ import json
 import math
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_cfg
@@ -124,7 +124,10 @@ def test_config_from_dict_wrong_shapes():
 
 
 @pytest.mark.parametrize("field", ["beta", "M", "r_max", "utility.weight"])
-@pytest.mark.parametrize("value", ["x", None, [1.0], {}])
+@pytest.mark.parametrize("value", [
+    "x", None, [1.0], {}, True, "2", " 1e3 ",
+    pytest.param(10**400, id="int-beyond-float"),
+])
 def test_config_from_dict_non_numeric_constant(field, value):
     data = {"queues": [{"flows": [{"p_off": 0.5}]}]}
     if field == "utility.weight":
@@ -133,6 +136,45 @@ def test_config_from_dict_non_numeric_constant(field, value):
         data[field] = value
     with pytest.raises(ConfigError, match=rf"^{field}: must be a number"):
         config_from_dict(data)
+
+
+def test_rate_beyond_float_range_is_a_config_error():
+    flows = [{"p_off": 0.5, "lambda": 10**400}]
+    with pytest.raises(ConfigError, match=r"flows\[0\]\.lambda: must be finite"):
+        config_from_dict({"queues": [{"flows": flows}]})
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=10,
+)
+# config-shaped objects whose every field may hold any JSON value, so the
+# fuzz reaches field validation instead of stopping at the top-level shape
+flows_json = st.lists(
+    st.fixed_dictionaries({"p_off": json_values}, optional={"lambda": json_values})
+    | json_values,
+    max_size=3,
+)
+config_json = st.fixed_dictionaries(
+    {"queues": st.lists(st.fixed_dictionaries({"flows": flows_json}) | json_values,
+                        max_size=3)},
+    optional={key: json_values for key in ("beta", "M", "r_max")}
+    | {"utility": st.fixed_dictionaries({}, optional={"kind": json_values,
+                                                      "weight": json_values})
+       | json_values},
+)
+
+
+@settings(max_examples=400)
+@given(json_values | config_json)
+def test_any_json_value_gives_a_config_or_a_config_error(data):
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    assert isinstance(cfg, NetworkConfig) and cfg.validate() == []
 
 
 def test_load_config_bad_json_reports_position(tmp_path):

@@ -2,86 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from helpers import dfc_gap_vs_oracle, make_cfg, single_queue_cfg
-from wfifo import (
-    SchedulingPolicy,
-    check_inner_bound,
-    project_simplex,
-    solve_dfc,
-)
-from wfifo.dfc import objective_and_gradient
-
-vectors = st.lists(
-    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
-    min_size=1,
-    max_size=6,
-).map(np.array)
-
-
-def test_project_simplex_interior_point_unchanged():
-    assert project_simplex(np.array([0.2, 0.3])).tolist() == [0.2, 0.3]
-
-
-def test_project_simplex_vertex_clamp():
-    assert project_simplex(np.array([2.0, 0.0])).tolist() == [1.0, 0.0]
-
-
-def test_project_simplex_negative_entries_clip():
-    assert project_simplex(np.array([-1.0, 0.5])).tolist() == [0.0, 0.5]
-
-
-def test_project_simplex_oversubscribed_point():
-    # (0.8, 0.8) is 0.6 beyond the face x+y=1; the projection splits the
-    # excess evenly. Confirmed against a brute-force scan of the simplex.
-    got = project_simplex(np.array([0.8, 0.8]))
-    assert got == pytest.approx([0.5, 0.5], abs=1e-12)
-
-    xs = np.linspace(0.0, 1.0, 1001)
-    gx, gy = np.meshgrid(xs, xs)
-    ok = gx + gy <= 1.0 + 1e-12
-    d2 = (gx - 0.8) ** 2 + (gy - 0.8) ** 2
-    d2[~ok] = np.inf
-    i, j = np.unravel_index(np.argmin(d2), d2.shape)
-    assert (gx[i, j], gy[i, j]) == pytest.approx((0.5, 0.5), abs=2e-3)
-
-
-@given(vectors)
-def test_project_simplex_idempotent_and_feasible(v):
-    x = project_simplex(v)
-    assert np.all(x >= 0.0)
-    assert float(x.sum()) <= 1.0 + 1e-9
-    assert project_simplex(x) == pytest.approx(x, abs=1e-12)
-
-
-@given(vectors, st.integers(min_value=0, max_value=2**31 - 1))
-def test_project_simplex_is_nearest_feasible_point(v, seed):
-    x = project_simplex(v)
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        w = rng.dirichlet(np.ones(len(v))) * rng.uniform(0.0, 1.0)
-        assert np.sum((v - x) ** 2) <= np.sum((v - w) ** 2) + 1e-9
-
-
-def test_batched_projection_equals_row_by_row():
-    rng = np.random.default_rng(47)
-    for _ in range(300):
-        rows, k = int(rng.integers(1, 40)), int(rng.integers(1, 12))
-        kind = rng.integers(0, 3)
-        if kind == 0:  # inside the set
-            v = rng.dirichlet(np.ones(k + 1), size=rows)[:, :k]
-        elif kind == 1:  # outside, nonnegative
-            v = rng.uniform(0.0, 2.0, size=(rows, k))
-        else:  # mixed, with negative entries and rows of either kind
-            v = rng.uniform(-1.0, 1.5, size=(rows, k)) * rng.uniform(0.0, 2.0, (rows, 1))
-        got = project_simplex(v)
-        assert got.shape == v.shape
-        assert np.array_equal(got, np.stack([project_simplex(r) for r in v]))
-        # a transposed view holds the same rows in another memory order
-        assert np.array_equal(project_simplex(np.asfortranarray(v)), got)
-
+from wfifo import SchedulingPolicy, check_inner_bound, solve_dfc
+from wfifo.dfc import _weights, objective_and_gradient
+from wfifo.stability import inner_coefficients
 
 # ----- solver on instances with known optima -----
 
@@ -145,6 +70,58 @@ def test_solver_reports_nonconvergence_at_iteration_cap():
     assert not sol.converged
     assert sol.iterations == 1
     assert np.all(np.isfinite(sol.tau))
+
+
+def _linearization_gap(cfg, tau):
+    """max over grant tables d of <g, d - tau>, recomputed from the table."""
+    c = inner_coefficients(cfg)
+    w = _weights(cfg)
+    a = np.maximum(np.einsum("ns,sn->n", c, tau), 1e-12)
+    g = np.einsum("n,ns->sn", w / a, c)
+    return float(np.maximum(g.max(axis=1), 0.0).sum() - (g * tau).sum())
+
+
+def test_reported_gap_is_the_gap_of_the_returned_table():
+    rng = np.random.default_rng(41)
+    solved = 0
+    for _ in range(80):
+        n_queues = int(rng.integers(1, 7))
+        rows = []
+        for _ in range(n_queues):
+            k = int(rng.integers(1, 4))
+            if rng.random() < 0.15:  # a dead queue
+                rows.append([1.0] * k)
+            else:
+                rows.append(rng.choice([0.0, 1.0, *rng.uniform(0.0, 0.9, 3)], k).tolist())
+        cfg = make_cfg(rows, beta=float(rng.uniform(1.0, 3.0)))
+        if all(p == 1.0 for row in rows for p in row):
+            with pytest.raises(ValueError, match="p_off = 1"):
+                solve_dfc(cfg)
+            continue
+        for max_iter in (1, 2, 5, 100_000):
+            sol = solve_dfc(cfg, max_iter=max_iter)
+            assert sol.iterations <= max_iter
+            gap = _linearization_gap(cfg, sol.tau)
+            assert sol.kkt_residual == pytest.approx(gap, rel=1e-9, abs=1e-12)
+            if sol.converged:
+                assert gap <= 1e-6 + 1e-12
+        assert sol.converged
+        solved += 1
+    assert solved >= 60
+
+
+@pytest.mark.parametrize("n_queues", [12, 16])
+def test_heterogeneous_networks_converge_in_few_iterations(n_queues):
+    # up to the config cap of 16 queues; projected gradient needed 10,768
+    # iterations on such an instance at N = 12
+    rng = np.random.default_rng([53, n_queues])
+    rows = [rng.uniform(0.1, 0.6, int(rng.integers(1, 3))).tolist()
+            for _ in range(n_queues)]
+    sol = solve_dfc(make_cfg(rows, beta=(1.0, 1.5, 2.0)[n_queues % 3]))
+    assert sol.converged and sol.kkt_residual <= 1e-6
+    assert sol.iterations <= 100
+    assert np.all(sol.tau >= 0.0)
+    assert np.all(sol.tau.sum(axis=1) <= 1.0 + 1e-12)
 
 
 def test_solution_invariants_on_random_instances():
