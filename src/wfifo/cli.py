@@ -36,10 +36,18 @@ from .core import (
     config_digest,
     config_from_dict,
     load_config,
+    read_json,
 )
 from .dfc import DfcSolution, solve_dfc
 from .markov import single_queue_steady_state
-from .sim import MIN_VERDICT_SLOTS, RunSpec, detect_stability, run, stream_seed
+from .sim import (
+    MIN_VERDICT_SLOTS,
+    RunSpec,
+    check_poisson_rates,
+    detect_stability,
+    run,
+    stream_seed,
+)
 from .stability import (
     best_policy_search,
     check_inner_bound,
@@ -252,6 +260,10 @@ def _summary_dict(spec: RunSpec, metrics, verdict) -> dict[str, Any]:
         "total_served_rate": _round6(metrics.total_served_rate()),
         "utility": _round6(metrics.utility),
         "final_backlog": list(metrics.final_backlog),
+        # post-warmup slots per joint HOL state (bit n: queue n serviceable),
+        # and per state the slots granted to each queue
+        "state_visits": metrics.state_visits.tolist(),
+        "state_serves": metrics.state_serves.tolist(),
         "stability": {
             "verdict": verdict.verdict,
             "slope": _round6(verdict.slope),
@@ -389,8 +401,7 @@ class ExperimentPlan:
 
     @classmethod
     def load(cls, path: str) -> "ExperimentPlan":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
         if not isinstance(raw, dict):
             raise ConfigError("plan: expected a JSON object")
         required = ("config", "parameter", "values", "seeds", "policies", "horizon")
@@ -399,9 +410,7 @@ class ExperimentPlan:
                 raise ConfigError(f"plan: missing field {key!r}")
         config = raw["config"]
         if isinstance(config, str):
-            base = Path(path).parent / config
-            with open(base, encoding="utf-8") as fh:
-                config = json.load(fh)
+            config = read_json(Path(path).parent / config)
         for key in ("values", "policies"):
             if not isinstance(raw[key], list):
                 raise ConfigError(f"plan: {key}: must be a list, got {raw[key]!r}")
@@ -437,14 +446,19 @@ class ExperimentPlan:
                     + ", ".join(_POLICY_CHOICES) + ")"
                 )
         # every swept value must land inside the field's domain, with the
-        # arrival rates a static policy replays
+        # arrival rates a static policy replays and, for stochastic
+        # arrivals, rates the Poisson sampler takes
         for value in self.values:
-            missing = self.config_at(value).missing_lambda_fields()
+            cfg = self.config_at(value)
+            missing = cfg.missing_lambda_fields()
             if "static" in self.policies and missing:
                 raise ConfigError(
                     f"plan: static policy needs explicit arrival rates at "
                     f"value {value!r}; missing: " + ", ".join(missing)
                 )
+            if self.arrival_mode == "stochastic":
+                for p in self.policies:
+                    check_poisson_rates(cfg, p)
 
     def config_at(self, value: Any) -> NetworkConfig:
         point = json.loads(json.dumps(self.config))
@@ -737,9 +751,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

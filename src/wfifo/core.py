@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Iterator
 
 import numpy as np
@@ -230,13 +231,23 @@ def config_from_dict(data: Any) -> NetworkConfig:
     return cfg
 
 
-def load_config(path: str) -> NetworkConfig:
-    with open(path) as fh:
+def read_json(path: str | Path) -> Any:
+    """Parse a JSON file; any text that is not usable JSON is a ConfigError.
+
+    Besides malformed JSON that covers bytes that are not UTF-8 and integer
+    literals beyond Python's digit limit for int conversion (4,300 digits).
+    """
+    with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}:{e.lineno}:{e.colno}: invalid JSON ({e.msg})") from e
-    return config_from_dict(data)
+        except ValueError as e:
+            raise ConfigError(f"{path}: invalid JSON ({e})") from e
+
+
+def load_config(path: str) -> NetworkConfig:
+    return config_from_dict(read_json(path))
 
 
 def config_digest(cfg: NetworkConfig) -> str:

@@ -5,8 +5,10 @@ Slot order, fixed for every policy:
 1. draw every flow's channel ON/OFF for this slot;
 2. read each queue's head-of-line state (EMPTY, or its HOL packet's channel);
 3. ask the policy for admission rates; in fluid mode each flow accumulates
-   its rate and materializes the integer part as packets, in stochastic mode
-   the packet count is a Poisson draw at that rate;
+   its rate and materializes the integer part as packets; in stochastic mode
+   the packet count is the inverse CDF of the block's uniform: the flow's
+   uniform for the slot, mapped through the Poisson CDF at that rate
+   (`poisson_cdf`);
 4. append the new packets, interleaving same-slot arrivals across a queue's
    flows uniformly at random;
 5. ask the policy for a grant among serviceable queues (HOL channel ON);
@@ -18,9 +20,27 @@ arriving into an empty queue is not serviceable until the next slot, so the
 recorded backlog obeys Q(t+1) = Q(t) - served(t) + arrived(t) exactly.
 
 Three independent RNG streams are derived by hashing the master seed with a
-stream name: "channels" (step 1), "arrivals" (steps 3-4 and saturated HOL
-refills), "scheduling" (randomized grants). Two runs differing only in
-policy therefore see identical channel draws.
+stream name. Two runs differing only in policy therefore see identical
+channel draws. Each stream is read in blocks of 4,096 slots:
+
+* "channels": one (4096, F) uniform block per block of slots, F the number
+  of flows; flow f is ON in slot t when U[t, f] >= p_off (step 1);
+* "scheduling": one 4,096-uniform block, the grant draw of each slot (5);
+* "arrivals": in stochastic mode one (4096, F) uniform block, flow f's
+  count in slot t inverting U[t, f] (step 3), then in slot and queue order
+  the interleave draws of step 4: one `random()` for a 2-packet batch (swap
+  below 0.5), a `shuffle` for a larger one. Fluid mode draws only the
+  interleaves.
+
+`run_saturated` draws one channel uniform per queue and slot, and its HOL
+refills from "arrivals".
+
+A `StaticPolicy` (static, dfc-static, serve-if-on) admits independently of
+the state, so `run` gives it a block path: a block's arrival counts and
+per-queue arrival sequences are drawn up front, and the slot loop only moves
+one head pointer per queue. It reads the streams as the per-slot loop does
+and gives the same metrics seed for seed; the per-slot loop stays the
+reference for every other policy.
 """
 
 from __future__ import annotations
@@ -28,17 +48,22 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
-from .core import NetworkConfig
+from .core import ConfigError, NetworkConfig
 from .markov import SteadyState
-from .policies import Policy, build_policy
+from .policies import MaxWeightPolicy, Policy, QfcPolicy, StaticPolicy, build_policy
 
 _BLOCK = 4096
+
+# largest rate the Poisson sampler takes: e**-rate stays a normal float
+POISSON_RATE_MAX = 700.0
 
 # shortest backlog trace `detect_stability` will classify
 MIN_VERDICT_SLOTS = 10
@@ -110,8 +135,66 @@ class TraceMetrics:
         return float(sum(sum(row) for row in self.served_rate))
 
 
+@lru_cache(maxsize=4096)
+def poisson_cdf(rate: float) -> tuple[float, ...]:
+    """Inverse-CDF table of Poisson(rate): c[j] = P[count <= j].
+
+    The pmf is p_0 = e^-rate, p_j = p_{j-1} * rate / j, summed left to right.
+    The table ends at the first sum that reaches 1, or at the first term past
+    the mode that no longer changes the sum (later terms are smaller, so the
+    left-to-right sum never moves again). A uniform u in [0, 1) maps to the
+    count bisect_right(c, u). The tail cap: a u at or above the last entry
+    gets len(c); that has probability 1 - c[-1], under 1e-14 for every rate
+    up to POISSON_RATE_MAX.
+    """
+    if not 0.0 <= rate <= POISSON_RATE_MAX:
+        raise ValueError(
+            f"Poisson rate {rate!r} outside [0, {POISSON_RATE_MAX:g}]"
+        )
+    p = math.exp(-rate)
+    c = p
+    table = [c]
+    j = 0
+    while c < 1.0:
+        j += 1
+        p = p * rate / j
+        nxt = c + p
+        if nxt == c and j > rate:
+            break
+        c = nxt
+        table.append(c)
+    return tuple(table)
+
+
+def check_poisson_rates(cfg: NetworkConfig, policy: str | Policy) -> None:
+    """Reject a stochastic run whose admission rates the sampler cannot take.
+
+    `policy` is a built policy or a policy name. A static policy replays its
+    rates, and qfc and max-weight admit at most r_max. dfc-static plans
+    rates of at most 1, and any other policy is checked slot by slot by
+    `poisson_cdf`.
+    """
+    if isinstance(policy, StaticPolicy) or policy == "static":
+        rates = policy.rates if isinstance(policy, StaticPolicy) else cfg.lambdas()
+        what, peak = "arrival rate", max(r for row in rates for r in row)
+    elif isinstance(policy, (QfcPolicy, MaxWeightPolicy)) or policy in ("qfc", "maxweight"):
+        what, peak = "r_max", cfg.r_max
+    else:
+        return
+    if peak > POISSON_RATE_MAX:
+        raise ConfigError(
+            f"stochastic arrivals: {what} {peak!r} exceeds {POISSON_RATE_MAX:g}, "
+            "the largest Poisson rate the sampler takes"
+        )
+
+
 def run(spec: RunSpec) -> TraceMetrics:
-    """Simulate one run to its horizon and aggregate metrics."""
+    """Simulate one run to its horizon and aggregate metrics.
+
+    A `StaticPolicy` takes the block path `_run_open_loop`; every other
+    policy runs the per-slot reference loop. Both give the same metrics seed
+    for seed.
+    """
     cfg = spec.cfg
     errs = cfg.validate()
     if errs:
@@ -122,6 +205,10 @@ def run(spec: RunSpec) -> TraceMetrics:
         raise ValueError(f"unknown arrival mode {spec.arrival_mode!r}")
     warmup = spec.resolved_warmup()
     policy = build_policy(cfg, spec.policy) if isinstance(spec.policy, str) else spec.policy
+    if spec.arrival_mode == "stochastic":
+        check_poisson_rates(cfg, policy)
+    if type(policy) is StaticPolicy:
+        return _run_open_loop(spec, policy, warmup)
 
     n_queues = cfg.n_queues
     flow_counts = [cfg.n_flows(n) for n in range(n_queues)]
@@ -161,12 +248,15 @@ def run(spec: RunSpec) -> TraceMetrics:
     horizon = spec.horizon
     on_block: list = []
     sc_block: list = []
+    ar_block: list = []
     block_at = _BLOCK  # force generation on first slot
 
     for t in range(horizon):
         if block_at == _BLOCK:
             on_block = (rng_ch.random((_BLOCK, p_off_flat.size)) >= p_off_flat).tolist()
             sc_block = rng_sc.random(_BLOCK).tolist()
+            if not fluid:
+                ar_block = rng_ar.random((_BLOCK, p_off_flat.size)).tolist()
             block_at = 0
         on_row = on_block[block_at]
         u_sched = sc_block[block_at]
@@ -217,11 +307,13 @@ def run(spec: RunSpec) -> TraceMetrics:
                     else:
                         frac_n[k] = v
             else:
+                u_row = ar_block[block_at - 1]
+                off = offsets[n]
                 for k in range(flow_counts[n]):
                     r = rates_n[k]
                     if r <= 0.0:
                         continue
-                    cnt = int(rng_ar.poisson(r))
+                    cnt = bisect_right(poisson_cdf(r), u_row[off + k])
                     if cnt == 0:
                         continue
                     if cnt == 1 and single < 0 and batch is None:
@@ -282,25 +374,9 @@ def run(spec: RunSpec) -> TraceMetrics:
         if record:
             served_by_slot.append(-1 if chosen is None else chosen)
 
-    window = horizon - warmup
-    admitted_rate = tuple(
-        tuple((a - w) / window for a, w in zip(arow, wrow))
-        for arow, wrow in zip(admitted, admitted_w)
-    )
-    served_rate = tuple(
-        tuple((a - w) / window for a, w in zip(arow, wrow))
-        for arow, wrow in zip(served, served_w)
-    )
-    utility = math.fsum(
-        cfg.utility.value(r)
-        for row in admitted_rate
-        for r in row
-        if r > 0.0
-    )
     q_trace = np.column_stack(
         [np.frombuffer(a, dtype=np.int32) for a in q_traces]
     )
-
     trace: dict[str, Any] = {}
     if record:
         trace = {
@@ -311,18 +387,220 @@ def run(spec: RunSpec) -> TraceMetrics:
                 [np.frombuffer(a, dtype=np.int32) for a in arrivals_by_slot]
             ),
         }
+    return _metrics(spec, policy.name, warmup, admitted, served, admitted_w,
+                    served_w, q_trace, state_visits, state_serves, trace)
 
+
+def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMetrics:
+    """`run` for a StaticPolicy, a block of slots at a time.
+
+    Admission does not depend on the state, so each block's arrival counts
+    and per-queue arrival sequences (flow ids in service order) are drawn
+    before its slots run, from the same streams in the same order as the
+    per-slot loop. The only sequential state is one head pointer per queue:
+    the slot loop reads HOL channels, walks the cumulative grant row and
+    advances a head pointer. Every metric is a per-block reduction, and
+    served packets are trimmed from the sequences after each block.
+    """
+    cfg = spec.cfg
+    horizon = spec.horizon
+    n_queues = cfg.n_queues
+    qs = range(n_queues)
+    # queue n owns the flows bounds[n]:bounds[n + 1] of the flat flow order
+    bounds = np.cumsum([0] + [cfg.n_flows(n) for n in qs]).tolist()
+    n_flows = bounds[-1]
+    p_off = np.array([f.p_off for q in cfg.queues for f in q.flows], dtype=float)
+    rates = [r for row in policy.rates for r in row]
+    live = [f for f, r in enumerate(rates) if r > 0.0]
+    fluid = spec.arrival_mode == "fluid"
+    cdfs = {} if fluid else {f: np.array(poisson_cdf(rates[f])) for f in live}
+    frac = [0.0] * n_flows
+    # StaticPolicy.schedule sums each grant row left to right, as cumsum does
+    cum = np.cumsum(np.asarray(policy.tau, dtype=float), axis=1)
+    cum_rows: dict[int, list[float]] = {}
+
+    rng_ch = _stream(spec.seed, "channels")
+    rng_ar = _stream(spec.seed, "arrivals")
+    rng_sc = _stream(spec.seed, "scheduling")
+
+    q_trace = np.empty((horizon, n_queues), dtype=np.int32)
+    state_visits = np.zeros(1 << n_queues, dtype=np.int64)
+    state_serves = np.zeros((1 << n_queues, n_queues), dtype=np.int64)
+    admitted = np.zeros(n_flows, dtype=np.int64)
+    served = np.zeros(n_flows, dtype=np.int64)
+    admitted_w = served_w = admitted  # snapshot at the start of slot `warmup`
+    pending: list[list[int]] = [[] for _ in qs]  # queued flow ids, FIFO
+
+    record = spec.record_trace
+    arrival_log: list[list[tuple[int, int]]] = [[] for _ in qs]
+    served_blocks: list[np.ndarray] = []
+    arrival_blocks: list[np.ndarray] = []
+
+    for b0 in range(0, horizon, _BLOCK):
+        size = min(_BLOCK, horizon - b0)
+        on_rows = (rng_ch.random((_BLOCK, n_flows))[:size] >= p_off).tolist()
+        u_sched = rng_sc.random(_BLOCK)[:size].tolist()
+        counts = np.zeros((size, n_flows), dtype=np.int64)
+        if fluid:
+            for f in live:
+                counts[:, f], frac[f] = _fluid_counts(rates[f], frac[f], size)
+        else:
+            u_arr = rng_ar.random((_BLOCK, n_flows))
+            for f in live:
+                counts[:, f] = np.searchsorted(cdfs[f], u_arr[:size, f], side="right")
+        arrived = np.add.reduceat(counts, bounds[:-1], axis=1)  # (size, N)
+        firsts = np.cumsum(arrived, axis=0) - arrived  # slot t's first arrival
+        # per queue: slot-major, flows in index order within a slot
+        seqs = [
+            np.repeat(np.tile(np.arange(bounds[n], bounds[n + 1]), size),
+                      counts[:, bounds[n]:bounds[n + 1]].ravel()).tolist()
+            for n in qs
+        ]
+        _interleave(rng_ar, seqs, firsts, arrived)
+
+        queued = firsts + np.array([len(p) for p in pending])  # start of slot t
+        avail = queued.T.tolist()
+        seq_q = [pending[n] + seqs[n] for n in qs]
+        heads = [0] * n_queues
+        states = [0] * size
+        grants = [-1] * size
+        for t in range(size):
+            row = on_rows[t]
+            s = 0
+            for n in qs:
+                h = heads[n]
+                if h < avail[n][t] and row[seq_q[n][h]]:
+                    s |= 1 << n
+            if s:
+                states[t] = s
+                c = cum_rows.get(s)
+                if c is None:
+                    c = cum_rows[s] = cum[s].tolist()
+                u = u_sched[t]
+                for n in qs:
+                    if u < c[n]:
+                        if s >> n & 1:
+                            heads[n] += 1
+                            grants[t] = n
+                        break
+
+        grant = np.array(grants, dtype=np.int64)
+        state = np.array(states, dtype=np.int64)
+        left = grant[:, None] == np.arange(n_queues)
+        done = np.cumsum(left, axis=0) - left  # departures before slot t
+        q_trace[b0:b0 + size] = queued - done
+        w = min(max(warmup - b0, 0), size)  # first slot of the block in the window
+        if w < size:
+            np.add.at(state_visits, state[w:], 1)
+            g = grant[w:]
+            hit = g >= 0
+            np.add.at(state_serves, (state[w:][hit], g[hit]), 1)
+        if b0 <= warmup < b0 + size:  # counts at the start of slot `warmup`
+            admitted_w = admitted + counts[:w].sum(axis=0)
+            served_w = served + sum(
+                _flow_counts(seq_q[n][:done[w, n]], n_flows) for n in qs
+            )
+        admitted = admitted + counts.sum(axis=0)
+        for n in qs:
+            served = served + _flow_counts(seq_q[n][:heads[n]], n_flows)
+            pending[n] = seq_q[n][heads[n]:]
+        if record:
+            for n in qs:
+                born = np.repeat(np.arange(b0, b0 + size), arrived[:, n]).tolist()
+                local = [f - bounds[n] for f in seqs[n]]
+                arrival_log[n].extend(zip(local, born))
+            served_blocks.append(grant.astype(np.int8))
+            arrival_blocks.append(arrived.astype(np.int32))
+
+    def nest(per_flow: np.ndarray) -> list[list[int]]:
+        return [per_flow[bounds[n]:bounds[n + 1]].tolist() for n in qs]
+
+    trace: dict[str, Any] = {}
+    if record:
+        trace = {
+            "arrival_order": arrival_log,
+            "departure_order": [
+                log[:k] for log, k in zip(arrival_log, map(sum, nest(served)))
+            ],
+            "served_by_slot": np.concatenate(served_blocks),
+            "arrivals_by_slot": np.concatenate(arrival_blocks),
+        }
+    return _metrics(spec, policy.name, warmup, nest(admitted), nest(served),
+                    nest(admitted_w), nest(served_w), q_trace, state_visits,
+                    state_serves, trace)
+
+
+def _fluid_counts(rate: float, frac: float, size: int) -> tuple[list[int], float]:
+    """A flow's fluid packet counts for `size` slots, and its new fraction."""
+    out = [0] * size
+    for t in range(size):
+        v = frac + rate
+        if v >= 1.0:
+            cnt = int(v)
+            frac = v - cnt
+            out[t] = cnt
+        else:
+            frac = v
+    return out, frac
+
+
+def _flow_counts(flows: list[int], n_flows: int) -> np.ndarray:
+    return np.bincount(np.array(flows, dtype=np.int64), minlength=n_flows)
+
+
+def _interleave(rng: np.random.Generator, seqs: list[list[int]],
+                firsts: np.ndarray, arrived: np.ndarray) -> None:
+    """Order each slot's arrivals at a queue as the per-slot loop does: in
+    slot then queue order, a 2-packet batch swaps on a uniform below 0.5 and
+    a larger batch is shuffled."""
+    ev_t, ev_n = np.nonzero(arrived >= 2)
+    for k, n, a in zip(arrived[ev_t, ev_n].tolist(), ev_n.tolist(),
+                       firsts[ev_t, ev_n].tolist()):
+        s = seqs[n]
+        if k == 2:
+            if rng.random() < 0.5:
+                s[a], s[a + 1] = s[a + 1], s[a]
+        else:
+            batch = s[a:a + k]
+            rng.shuffle(batch)
+            s[a:a + k] = batch
+
+
+def _metrics(spec: RunSpec, policy_name: str, warmup: int,
+             admitted: list[list[int]], served: list[list[int]],
+             admitted_w: list[list[int]], served_w: list[list[int]],
+             q_trace: np.ndarray, state_visits: np.ndarray,
+             state_serves: np.ndarray, trace: dict[str, Any]) -> TraceMetrics:
+    window = spec.horizon - warmup
+    admitted_rate = tuple(
+        tuple((a - w) / window for a, w in zip(arow, wrow))
+        for arow, wrow in zip(admitted, admitted_w)
+    )
+    served_rate = tuple(
+        tuple((a - w) / window for a, w in zip(arow, wrow))
+        for arow, wrow in zip(served, served_w)
+    )
+    utility = math.fsum(
+        spec.cfg.utility.value(r)
+        for row in admitted_rate
+        for r in row
+        if r > 0.0
+    )
+    backlog_flow = tuple(
+        tuple(a - s for a, s in zip(arow, srow))
+        for arow, srow in zip(admitted, served)
+    )
     return TraceMetrics(
-        horizon=horizon,
+        horizon=spec.horizon,
         warmup=warmup,
         seed=spec.seed,
-        policy_name=policy.name,
+        policy_name=policy_name,
         admitted_packets=tuple(tuple(row) for row in admitted),
         served_packets=tuple(tuple(row) for row in served),
         admitted_rate=admitted_rate,
         served_rate=served_rate,
-        final_backlog=tuple(q_tot),
-        final_backlog_flow=tuple(tuple(row) for row in q_flow),
+        final_backlog=tuple(sum(row) for row in backlog_flow),
+        final_backlog_flow=backlog_flow,
         utility=utility,
         q_trace=q_trace,
         state_visits=state_visits,

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ from wfifo import (
     solve_dfc,
     static_dfc_policy,
 )
-from wfifo.core import enumerate_states
-from wfifo.policies import Policy
+from wfifo.core import ConfigError, enumerate_states
+from wfifo.policies import Policy, StaticPolicy, build_policy
+from wfifo.sim import check_poisson_rates, poisson_cdf, stream_seed
 
 
 def small_run(**kw):
@@ -184,6 +187,191 @@ def test_boundary_scaling_flips_the_verdict():
         m = run(RunSpec(cfg=cfg, policy=serve_if_on_policy(cfg, rates),
                         horizon=200_000, seed=11, arrival_mode="stochastic"))
         assert detect_stability(m.q_trace).verdict == want
+
+
+# ----- Poisson inverse CDF -----
+
+
+def _direct_cdf(rate, n):
+    """P[count <= j] for j < n, each term from its closed form."""
+    pmf = [math.exp(-rate + j * math.log(rate) - math.lgamma(j + 1)) for j in range(n)]
+    return [math.fsum(pmf[: j + 1]) for j in range(n)]
+
+
+@pytest.mark.parametrize("rate", [1e-12, 0.01, 0.5, 2.0])
+def test_poisson_table_is_the_pmf_sum(rate):
+    table = poisson_cdf(rate)
+    assert np.allclose(table, _direct_cdf(rate, len(table)), rtol=0.0, atol=1e-15)
+    assert all(b >= a for a, b in zip(table, table[1:]))
+    assert table[-1] >= 1.0 - 1e-15
+
+
+def test_poisson_table_tail_is_at_rounding_level():
+    # a uniform past the last entry gets the capped count len(table)
+    for rate in np.concatenate([np.geomspace(1e-12, 700.0, 200), [700.0]]):
+        assert 1.0 - poisson_cdf(float(rate))[-1] < 1e-14
+
+
+@pytest.mark.parametrize("rate", [0.01, 0.5, 2.0])
+def test_poisson_counts_have_mean_and_variance_rate(rate):
+    n = 10**6
+    u = np.random.default_rng(int(rate * 100)).random(n)
+    counts = np.searchsorted(np.array(poisson_cdf(rate)), u, side="right")
+    assert abs(counts.mean() - rate) <= 5 * math.sqrt(rate / n)
+    # the sample variance of a Poisson(r) sample has variance ~ (r + 2r^2)/n
+    assert abs(counts.var() - rate) <= 5 * math.sqrt((rate + 2 * rate**2) / n)
+
+
+@pytest.mark.parametrize("rate", [0.0, 1e-12, 2.0, 700.0])
+def test_poisson_count_is_finite_at_the_largest_uniform(rate):
+    table = poisson_cdf(rate)
+    top = bisect_right(table, float(np.nextafter(1.0, 0.0)))
+    assert 0 <= top <= len(table)
+    assert bisect_right(table, 0.0) == (0 if table[0] > 0.0 else 1)
+    if rate == 0.0:
+        assert table == (1.0,) and top == 0
+
+
+@pytest.mark.parametrize("rate", [1000.0, 1e20, math.inf, math.nan, -1.0])
+def test_poisson_table_rejects_rates_it_cannot_represent(rate):
+    with pytest.raises(ValueError, match="Poisson rate"):
+        poisson_cdf(rate)
+
+
+@pytest.mark.parametrize("rate, ok", [
+    (0.0, True), (1e-12, True), (2.0, True), (700.0, True),
+    (1000.0, False), (1e20, False),
+])
+def test_stochastic_rates_are_checked_before_the_first_slot(rate, ok):
+    cfg = single_queue_cfg([0.2], lambdas=[rate])
+    spec = RunSpec(cfg=cfg, policy="static", horizon=20, seed=0,
+                   arrival_mode="stochastic")
+    if ok:
+        assert run(spec).admitted_packets[0][0] >= 0
+        assert run(dataclasses.replace(spec, arrival_mode="fluid")).horizon == 20
+    else:
+        with pytest.raises(ConfigError, match="arrival rate .* exceeds 700"):
+            run(spec)
+        with pytest.raises(ConfigError):
+            check_poisson_rates(cfg, "static")
+    # qfc and max-weight admit up to r_max
+    capped = single_queue_cfg([0.2], r_max=max(rate, 1e-12))
+    for name in ("qfc", "maxweight"):
+        if ok:
+            check_poisson_rates(capped, name)
+        else:
+            with pytest.raises(ConfigError, match="r_max .* exceeds"):
+                run(RunSpec(cfg=capped, policy=name, horizon=20,
+                            arrival_mode="stochastic"))
+
+
+def _arrivals_per_flow(m, cfg):
+    """(horizon, flows) arrival counts, flows in queue-major order."""
+    offsets = np.cumsum([0] + [cfg.n_flows(n) for n in range(cfg.n_queues)])
+    counts = np.zeros((m.horizon, offsets[-1]), dtype=np.int64)
+    for n, log in enumerate(m.trace["arrival_order"]):
+        for k, born in log:
+            counts[born, offsets[n] + k] += 1
+    return counts
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_zero_rate_flow_consumes_its_uniform(wrap):
+    # stream layout: each block's first arrivals draw is one (4096, F)
+    # uniform block; flow f's count in slot t inverts column f at slot t
+    cfg = make_cfg([[0.3, 0.2], [0.5]])
+    rates = [[0.0, 0.7], [1.2]]
+    pol = serve_if_on_policy(cfg, rates)
+    spec = RunSpec(cfg=cfg, policy=_Delegate(pol) if wrap else pol,
+                   horizon=3000, seed=12, arrival_mode="stochastic",
+                   record_trace=True)
+    counts = _arrivals_per_flow(run(spec), cfg)
+    u = np.random.default_rng(stream_seed(12, "arrivals")).random((4096, 3))[:3000]
+    assert not counts[:, 0].any()
+    for f, r in ((1, 0.7), (2, 1.2)):
+        want = np.searchsorted(np.array(poisson_cdf(r)), u[:, f], side="right")
+        assert np.array_equal(counts[:, f], want)
+
+
+# ----- open-loop block path against the per-slot loop -----
+
+
+class _Delegate(Policy):
+    """A static policy hidden from run()'s type test: the per-slot loop."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+
+    def admission(self, q_totals, q_flows):
+        return self.inner.admission(q_totals, q_flows)
+
+    def schedule(self, q_totals, serviceable, state_bits, u):
+        return self.inner.schedule(q_totals, serviceable, state_bits, u)
+
+
+def _assert_same_metrics(a, b):
+    for name in (f.name for f in dataclasses.fields(a)):
+        x, y = getattr(a, name), getattr(b, name)
+        if name == "trace":
+            assert x.keys() == y.keys()
+            for key in x:
+                if isinstance(x[key], np.ndarray):
+                    assert x[key].dtype == y[key].dtype, key
+                    assert np.array_equal(x[key], y[key]), key
+                else:
+                    assert x[key] == y[key], key
+        elif isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        else:
+            assert x == y, name
+
+
+def _open_loop_cases():
+    """Static policies on N = 1-4 queues: zero rates, p_off 0 and 1, grant
+    rows summing to less than 1, and rates high enough for 3+ arrivals."""
+    rng = np.random.default_rng(606)
+    cases = []
+    for n_queues in (1, 2, 3, 4):
+        rows = [[0.0, 1.0, float(rng.uniform(0.1, 0.6))][: 1 + (n + n_queues) % 3]
+                for n in range(n_queues)]
+        cfg = make_cfg(rows)
+        rates = [[0.0 if (n + k) % 3 == 1 else float(rng.uniform(0.2, 1.6 / n_queues))
+                  for k in range(len(row))] for n, row in enumerate(rows)]
+        tau = rng.uniform(size=(1 << n_queues, n_queues))
+        tau /= tau.sum(axis=1, keepdims=True) * rng.choice([1.0, 1.25], size=(1 << n_queues, 1))
+        cases.append((cfg, StaticPolicy(cfg, rates, tau)))
+    cfg = make_cfg([[0.0, 0.4]])  # serve-if-on, one queue, as criterion 02
+    cases.append((cfg, serve_if_on_policy(cfg, [[0.5, 0.4]])))
+    cfg = make_cfg([[0.1, 0.2, 0.3]])  # overloaded: 3+ fluid arrivals a slot
+    cases.append((cfg, serve_if_on_policy(cfg, [[0.9, 0.8, 2.3]])))
+    return cases
+
+
+@pytest.mark.parametrize("mode", ["fluid", "stochastic"])
+@pytest.mark.parametrize("horizon", [10, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_open_loop_block_path_equals_per_slot_loop(mode, horizon):
+    multi = 0
+    for i, (cfg, pol) in enumerate(_open_loop_cases()):
+        spec = RunSpec(cfg=cfg, policy=pol, horizon=horizon, seed=40 + i,
+                       warmup=0 if i % 2 else horizon // 3,
+                       arrival_mode=mode, record_trace=True)
+        fast = run(spec)
+        ref = run(dataclasses.replace(spec, policy=_Delegate(pol)))
+        _assert_same_metrics(fast, ref)
+        multi += int((fast.trace["arrivals_by_slot"] >= 3).sum())
+    if horizon > 10:
+        assert multi > 0  # the shuffle draws were exercised
+
+
+@pytest.mark.parametrize("name", ["static", "dfc-static"])
+def test_named_open_loop_policies_take_the_block_path(name):
+    cfg = make_cfg([[0.2, 0.5], [0.3]], lambdas=[[0.2, 0.1], [0.3]])
+    pol = build_policy(cfg, name)
+    assert type(pol) is StaticPolicy
+    spec = RunSpec(cfg=cfg, policy=pol, horizon=5000, seed=8,
+                   arrival_mode="stochastic")
+    _assert_same_metrics(run(spec), run(dataclasses.replace(spec, policy=_Delegate(pol))))
 
 
 # ----- saturated head-of-line process -----
