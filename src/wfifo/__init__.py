@@ -24,6 +24,7 @@ from .core import (
     state_vector,
 )
 from .dfc import DfcSolution, solve_dfc
+from .lockstep import run_batch
 from .markov import (
     SteadyState,
     hol_distribution,
@@ -94,6 +95,7 @@ __all__ = [
     "joint_state_hol_prob",
     "load_config",
     "run",
+    "run_batch",
     "run_saturated",
     "serve_if_on_policy",
     "service_availability",

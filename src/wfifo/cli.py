@@ -39,6 +39,7 @@ from .core import (
     read_json,
 )
 from .dfc import DfcSolution, solve_dfc
+from .lockstep import run_batch
 from .markov import single_queue_steady_state
 from .sim import (
     MIN_VERDICT_SLOTS,
@@ -59,6 +60,10 @@ RECIPE_M = 100.0  # drift-vs-utility constant used by the bundled recipes
 RECIPE_R_MAX = 2.0
 
 _POLICY_CHOICES = ("qfc", "maxweight", "dfc-static", "static")
+
+# fewest qfc and max-weight cells `run_cells` advances in lockstep; a
+# lockstep slot costs about as much as 6-8 single-run slots
+LOCKSTEP_MIN_RUNS = 8
 
 
 def _fmt(x: Any) -> str:
@@ -446,8 +451,7 @@ class ExperimentPlan:
                     + ", ".join(_POLICY_CHOICES) + ")"
                 )
         # every swept value must land inside the field's domain, with the
-        # arrival rates a static policy replays and, for stochastic
-        # arrivals, rates the Poisson sampler takes
+        # arrival rates a static policy replays and rates the engine takes
         for value in self.values:
             cfg = self.config_at(value)
             missing = cfg.missing_lambda_fields()
@@ -456,9 +460,8 @@ class ExperimentPlan:
                     f"plan: static policy needs explicit arrival rates at "
                     f"value {value!r}; missing: " + ", ".join(missing)
                 )
-            if self.arrival_mode == "stochastic":
-                for p in self.policies:
-                    check_poisson_rates(cfg, p)
+            for p in self.policies:
+                check_poisson_rates(cfg, p, self.arrival_mode)
 
     def config_at(self, value: Any) -> NetworkConfig:
         point = json.loads(json.dumps(self.config))
@@ -475,20 +478,36 @@ def run_cells(points: list, policies: Sequence[str], horizon: int, seeds: int,
     Replicate j runs with seed master_seed + j, so policies compared under
     one master seed share channel draws. A point is one NetworkConfig, or a
     list of one config per replicate. Only what `keep` returns of each run
-    is stored, so memory does not grow with runs x horizon. Prints one
-    progress line per point on stderr.
+    is stored, so memory does not grow with runs x horizon.
+
+    With fluid arrivals, the qfc and max-weight cells of every point and
+    replicate run first, together, through one `run_batch` call, if there
+    are at least LOCKSTEP_MIN_RUNS of them; every other cell then runs
+    through `run`, point by point. The results equal one `run` per cell
+    either way. One progress line per point goes to stderr, in point order,
+    once the point's `run` cells are done, so a grid of lockstep cells only
+    prints its lines when the batch ends.
     """
-    results: dict[str, list[list[Any]]] = {p: [] for p in policies}
+    cfgs = [point if isinstance(point, list) else [point] * seeds for point in points]
+
+    def spec(cfg: NetworkConfig, policy: str, j: int) -> RunSpec:
+        return RunSpec(cfg=cfg, policy=policy, horizon=horizon, warmup=warmup,
+                       seed=master_seed + j, arrival_mode=arrival_mode)
+
+    lockstep = [p for p in policies
+                if arrival_mode == "fluid" and p in ("qfc", "maxweight")]
+    cells = [(i, p, j) for i, row in enumerate(cfgs) for p in lockstep
+             for j in range(len(row))]
+    if len(cells) < LOCKSTEP_MIN_RUNS:
+        lockstep, cells = [], []
+    results: dict[str, list[list[Any]]] = {p: [[] for _ in points] for p in policies}
     t0 = time.perf_counter()
-    for i, point in enumerate(points):
-        cfgs = point if isinstance(point, list) else [point] * seeds
-        for policy in policies:
-            results[policy].append([
-                keep(run(RunSpec(cfg=cfg, policy=policy, horizon=horizon,
-                                 warmup=warmup, seed=master_seed + j,
-                                 arrival_mode=arrival_mode)))
-                for j, cfg in enumerate(cfgs)
-            ])
+    for (i, p, _), m in zip(cells, run_batch([spec(cfgs[i][j], p, j) for i, p, j in cells])):
+        results[p][i].append(keep(m))
+    for i, row in enumerate(cfgs):
+        for p in policies:
+            if p not in lockstep:
+                results[p][i] = [keep(run(spec(cfg, p, j))) for j, cfg in enumerate(row)]
         print(f"wfifo: point {i + 1}/{len(points)} done, "
               f"{time.perf_counter() - t0:.1f} s elapsed", file=sys.stderr)
     return results

@@ -1,0 +1,269 @@
+"""Lockstep engine: many fluid qfc and max-weight runs advanced together.
+
+`run_batch` gives each run the metrics `sim.run` gives it, seed for seed,
+except that `q_trace` is None: it keeps no per-slot backlog trace, whose
+size would grow with runs x horizon. One numpy step per slot advances every
+run:
+
+1. read each queue's head-of-line channel from the slot's channel row;
+2. grant the first maximum of Q_n / sum_k p_on**beta (qfc) or Q_n
+   (max-weight) among serviceable queues, as `policies.py` does;
+3. admit by each policy's closed form on the start-of-slot backlogs, in the
+   same float operations as the policy class, and take the fluid step
+   v = frac + rate, count = floor(v), frac = v - count;
+4. append the new packets, flows in index order, each repeated by its
+   count, then interleave each queue's same-slot batch as `sim.run` does;
+5. serve the granted heads of line.
+
+Each run reads its own streams as `sim.run` does: "channels" in (1024, F)
+pieces, which are the rows of its (4096, F) blocks in order, and "arrivals"
+only for the interleave draws, one Python call per queue with two or more
+arrivals, in slot then queue order (a `random()` swap for two packets, a
+`shuffle` for more). "scheduling" is never read: the qfc and max-weight
+grants draw nothing, and the streams are independent. State visits and
+grants are tallied per 1,024-slot piece.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from .policies import MaxWeightPolicy, Policy, QfcPolicy, build_policy
+from .sim import RunSpec, TraceMetrics, _metrics, _stream, check_poisson_rates
+
+_PIECE = 1024  # slots per channel draw and state tally
+
+
+def _lockstep_policy(spec: RunSpec, horizon: int, warmup: int) -> Policy:
+    """The built qfc or max-weight policy of a `run_batch` spec, checked."""
+    errs = spec.cfg.validate()
+    if errs:
+        raise ValueError("; ".join(errs))
+    if spec.horizon != horizon or spec.resolved_warmup() != warmup:
+        raise ValueError("run_batch: every spec must share one horizon and warmup")
+    if spec.arrival_mode != "fluid" or spec.record_trace:
+        raise ValueError("run_batch: takes fluid-arrival runs without record_trace")
+    policy = spec.policy
+    if isinstance(policy, str) and policy in ("qfc", "maxweight"):
+        policy = build_policy(spec.cfg, policy)
+    if type(policy) not in (QfcPolicy, MaxWeightPolicy):
+        raise ValueError(f"run_batch: takes qfc and max-weight runs, got {spec.policy!r}")
+    check_poisson_rates(spec.cfg, policy, "fluid")
+    return policy
+
+
+def run_batch(specs: Sequence[RunSpec]) -> list[TraceMetrics]:
+    """`sim.run` for many fluid qfc and max-weight runs, in lockstep.
+
+    Returns sim.run(spec) for each spec, equal seed for seed, except that
+    `q_trace` is None: no per-slot backlog trace is kept. The specs must
+    share one horizon and one warmup; configs, policies and seeds may
+    differ. Runs are padded to the batch's largest queue and flow counts; a
+    padded queue or flow never admits and is never ON.
+
+    Per (run, queue) the state is a FIFO buffer of flow ids, a head and a
+    tail index into it. Entries from the tail on hold the sentinel id K, a
+    channel column that is always OFF, so an empty queue reads as blocked
+    without a backlog test. Before a tail can pass the end of its row, the
+    rows are compacted to their live entries, and the capacity doubles
+    until it holds twice the largest backlog plus one slot's most arrivals.
+    """
+    if not specs:
+        return []
+    horizon = specs[0].horizon
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    warmup = specs[0].resolved_warmup()
+    pols = [_lockstep_policy(spec, horizon, warmup) for spec in specs]
+    return _lockstep(list(specs), pols, horizon, warmup)
+
+
+# most state-counter entries, runs x 2**N x (N + 1) for the largest queue
+# count N, that one lockstep batch holds; a larger batch runs in halves
+_STATE_ENTRIES_MAX = 1 << 21
+
+
+def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
+              warmup: int) -> list[TraceMetrics]:
+    cfgs = [spec.cfg for spec in specs]
+    n_runs = len(specs)
+    nq = max(cfg.n_queues for cfg in cfgs)
+    if n_runs > 1 and n_runs * (nq + 1) << nq > _STATE_ENTRIES_MAX:
+        h = n_runs // 2
+        return (_lockstep(specs[:h], pols[:h], horizon, warmup)
+                + _lockstep(specs[h:], pols[h:], horizon, warmup))
+    nk = max(cfg.n_flows(n) for cfg in cfgs for n in range(cfg.n_queues))
+    n_rows = n_runs * nq  # row r * nq + n: queue n of run r
+    width = nk + 1  # channel columns per row; column nk is the sentinel's
+
+    # admission of flow k in row i: fmin(r_max, num / backlog) * pb, where
+    # backlog is the queue's (qfc) or the flow's own (max-weight); a zero
+    # backlog gives num / 0 = inf, and fmin maps inf (and 0 / 0) to r_max
+    num = np.ones((n_rows, nk))
+    pb = np.zeros((n_rows, nk))
+    r_max = np.ones((n_rows, nk))
+    by_queue = np.zeros((n_rows, 1), dtype=bool)
+    sched_w = np.zeros(n_rows)
+    on_cols, p_off, ub = [], [], 1
+    for r, (cfg, pol) in enumerate(zip(cfgs, pols)):
+        qfc = type(pol) is QfcPolicy
+        cols = []
+        for n in range(cfg.n_queues):
+            i, k = r * nq + n, cfg.n_flows(n)
+            r_max[i] = pol.r_max
+            by_queue[i] = qfc
+            num[i, :k] = pol.mk[n] if qfc else pol.mw
+            pb[i, :k] = pol.pon_beta[n] if qfc else 1.0
+            sched_w[i] = pol.sched_w[n] if qfc else 1.0
+            cols.extend(range(i * width, i * width + k))
+            # a flow materializes at most int(r_max) + 1 packets a slot
+            ub = max(ub, k * (int(pol.r_max) + 1))
+        on_cols.append(np.array(cols))
+        p_off.append(np.array([f.p_off for q in cfg.queues for f in q.flows]))
+    all_qfc, any_qfc = bool(by_queue.all()), bool(by_queue.any())
+
+    rng_ch = [_stream(spec.seed, "channels") for spec in specs]
+    rng_ar = [_stream(spec.seed, "arrivals") for spec in specs]
+    swap_u = [g.random for g in rng_ar]
+    shuffle = [g.shuffle for g in rng_ar]
+
+    frac = np.zeros((n_rows, nk))
+    qf = np.zeros((n_rows, nk), dtype=np.int64)  # per-flow backlog
+    adm = np.zeros((n_rows, nk), dtype=np.int64)  # admitted packets
+    adm_w = qf_w = adm  # snapshot at the start of slot `warmup`
+    qf_flat = qf.reshape(-1)
+    flow_ids = np.tile(np.arange(nk, dtype=np.min_scalar_type(-width)), n_rows)
+    sentinel = nk
+    cap = 64
+    while cap < 2 * (ub + 1):
+        cap *= 2
+    fifo = np.full(n_rows * cap, sentinel, dtype=flow_ids.dtype)
+    head = np.arange(n_rows, dtype=np.int64) * cap  # flat index of each HOL
+    tail = head.copy()  # flat index of each row's next free entry
+    tail_hi = 0  # bound on the largest tail offset within a row
+    hol_base = np.arange(n_rows, dtype=np.int64) * width
+    run_base = np.arange(n_runs, dtype=np.int64) * nq
+
+    n_states = 1 << nq
+    pow2 = 1 << np.arange(nq, dtype=np.int32)
+    state_off = np.arange(n_runs, dtype=np.int32) * n_states  # run r's key 0
+    visits = np.zeros(n_runs * n_states, dtype=np.int64)
+    serves = np.zeros((nq, n_runs * n_states), dtype=np.int64)
+
+    # channel draws come in (_PIECE, F) pieces, the rows of sim.run's
+    # (4096, F) blocks in order, at a quarter of the memory
+    on = np.zeros((_PIECE, n_rows * width), dtype=bool)
+    sv_blk = np.zeros((_PIECE, n_rows), dtype=bool)  # serviceable rows
+    sq_blk = np.zeros((_PIECE, n_rows), dtype=bool)  # granted rows
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for b0 in range(0, horizon, _PIECE):
+            size = min(_PIECE, horizon - b0)
+            for r in range(n_runs):
+                on[:size, on_cols[r]] = rng_ch[r].random((size, p_off[r].size)) >= p_off[r]
+            sq_blk[:size] = False
+            for t in range(size):
+                if b0 + t == warmup:
+                    adm_w, qf_w = adm.copy(), qf.copy()
+                if tail_hi + ub >= cap:
+                    tail_hi = int((tail - np.arange(n_rows) * cap).max())
+                    if tail_hi + ub >= cap:
+                        fifo, head, tail, cap = _compact(fifo, head, tail, cap, ub, sentinel)
+                        tail_hi = int((tail - head).max())
+                tail_hi += ub
+
+                # HOL channels and the grant, on start-of-slot backlogs
+                q = tail - head
+                hol = fifo[head]
+                sv = on[t][hol_base + hol]
+                sv_blk[t] = sv
+                if nq == 1:
+                    srv = np.flatnonzero(sv)
+                else:
+                    g = np.where(sv, q * sched_w, -1.0).reshape(n_runs, nq).argmax(1)
+                    g += run_base
+                    srv = g[sv[g]]
+                sq_blk[t, srv] = True
+
+                # admission and the fluid step
+                if all_qfc:
+                    seen = q[:, None]
+                elif any_qfc:
+                    seen = np.where(by_queue, q[:, None], qf)
+                else:
+                    seen = qf
+                v = frac + np.fmin(r_max, num / seen) * pb
+                cnt = v.astype(np.int64)
+                np.subtract(v, cnt, out=frac)
+                arr = cnt.sum(1)
+
+                # arrivals: flows in index order, each repeated by its count,
+                # then same-slot batches interleaved per run
+                ids = np.repeat(flow_ids, cnt.reshape(-1))
+                if ids.size:
+                    end = np.cumsum(arr)
+                    multi = np.flatnonzero(arr >= 2)
+                    if multi.size:
+                        ids = ids.tolist()
+                        for i, e, k in zip(multi.tolist(), end[multi].tolist(),
+                                           arr[multi].tolist()):
+                            a = e - k
+                            if k == 2:
+                                if swap_u[i // nq]() < 0.5:
+                                    ids[a], ids[a + 1] = ids[a + 1], ids[a]
+                            else:
+                                batch = ids[a:e]
+                                shuffle[i // nq](batch)
+                                ids[a:e] = batch
+                    pos = np.repeat(tail - end + arr, arr)
+                    pos += np.arange(pos.size)
+                    fifo[pos] = ids
+                    tail += arr
+                    qf += cnt
+                    adm += cnt
+
+                # serve the granted HOL packets
+                if srv.size:
+                    head[srv] += 1
+                    qf_flat[srv * nk + hol[srv]] -= 1
+
+            w = min(max(warmup - b0, 0), size)  # first slot in the window
+            if w < size:
+                key = sv_blk[w:size].reshape(-1, n_runs, nq) @ pow2
+                key += state_off
+                visits += np.bincount(key.ravel(), minlength=visits.size)
+                granted = sq_blk[w:size].reshape(-1, n_runs, nq)
+                for n in range(nq):
+                    serves[n] += np.bincount(key[granted[..., n]], minlength=visits.size)
+
+    served, served_w = adm - qf, adm_w - qf_w
+    visits = visits.reshape(n_runs, n_states)
+    serves = serves.reshape(nq, n_runs, n_states)
+
+    def nest(a: np.ndarray, r: int) -> list[list[int]]:
+        return [a[r * nq + n, :cfgs[r].n_flows(n)].tolist()
+                for n in range(cfgs[r].n_queues)]
+
+    return [
+        _metrics(spec, pol.name, warmup, nest(adm, r), nest(served, r),
+                 nest(adm_w, r), nest(served_w, r), None,
+                 visits[r, :1 << spec.cfg.n_queues].copy(),
+                 serves[:spec.cfg.n_queues, r, :1 << spec.cfg.n_queues].T.copy(), {})
+        for r, (spec, pol) in enumerate(zip(specs, pols))
+    ]
+
+
+def _compact(fifo: np.ndarray, head: np.ndarray, tail: np.ndarray, cap: int,
+             ub: int, sentinel: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Copy each row's live entries to the front of a fresh buffer, doubling
+    the capacity until it is at least twice the largest backlog plus `ub`."""
+    q = tail - head
+    while cap < 2 * (int(q.max()) + ub + 1):
+        cap *= 2
+    out = np.full(head.size * cap, sentinel, dtype=fifo.dtype)
+    new_head = np.arange(head.size, dtype=np.int64) * cap
+    for h, t, nh in zip(head.tolist(), tail.tolist(), new_head.tolist()):
+        out[nh:nh + t - h] = fifo[h:t]
+    return out, new_head, new_head + q, cap

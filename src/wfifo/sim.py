@@ -41,6 +41,9 @@ per-queue arrival sequences are drawn up front, and the slot loop only moves
 one head pointer per queue. It reads the streams as the per-slot loop does
 and gives the same metrics seed for seed; the per-slot loop stays the
 reference for every other policy.
+
+`lockstep.run_batch` advances many fluid qfc and max-weight runs at once and
+gives each the metrics `run` gives it, seed for seed, without `q_trace`.
 """
 
 from __future__ import annotations
@@ -122,7 +125,8 @@ class TraceMetrics:
     final_backlog: tuple[int, ...]
     final_backlog_flow: tuple[tuple[int, ...], ...]
     utility: float
-    q_trace: np.ndarray  # (horizon, n_queues) start-of-slot backlogs
+    # (horizon, n_queues) start-of-slot backlogs; None from lockstep.run_batch
+    q_trace: np.ndarray | None
     state_visits: np.ndarray  # (2**N,) post-warmup counts
     state_serves: np.ndarray  # (2**N, N) post-warmup grant counts
     rng_streams: dict[str, str]
@@ -166,13 +170,17 @@ def poisson_cdf(rate: float) -> tuple[float, ...]:
     return tuple(table)
 
 
-def check_poisson_rates(cfg: NetworkConfig, policy: str | Policy) -> None:
-    """Reject a stochastic run whose admission rates the sampler cannot take.
+def check_poisson_rates(cfg: NetworkConfig, policy: str | Policy,
+                        arrival_mode: str = "stochastic") -> None:
+    """Reject a run whose admission rates exceed POISSON_RATE_MAX.
 
     `policy` is a built policy or a policy name. A static policy replays its
     rates, and qfc and max-weight admit at most r_max. dfc-static plans
     rates of at most 1, and any other policy is checked slot by slot by
-    `poisson_cdf`.
+    `poisson_cdf` in stochastic mode. The cap holds in fluid mode too: a
+    fluid run materializes up to one rate's worth of packets per flow and
+    slot, so a huge rate would exhaust memory (or overflow a count) long
+    before the horizon.
     """
     if isinstance(policy, StaticPolicy) or policy == "static":
         rates = policy.rates if isinstance(policy, StaticPolicy) else cfg.lambdas()
@@ -183,8 +191,8 @@ def check_poisson_rates(cfg: NetworkConfig, policy: str | Policy) -> None:
         return
     if peak > POISSON_RATE_MAX:
         raise ConfigError(
-            f"stochastic arrivals: {what} {peak!r} exceeds {POISSON_RATE_MAX:g}, "
-            "the largest Poisson rate the sampler takes"
+            f"{arrival_mode} arrivals: {what} {peak!r} exceeds "
+            f"{POISSON_RATE_MAX:g}, the largest admission rate the engine takes"
         )
 
 
@@ -205,8 +213,7 @@ def run(spec: RunSpec) -> TraceMetrics:
         raise ValueError(f"unknown arrival mode {spec.arrival_mode!r}")
     warmup = spec.resolved_warmup()
     policy = build_policy(cfg, spec.policy) if isinstance(spec.policy, str) else spec.policy
-    if spec.arrival_mode == "stochastic":
-        check_poisson_rates(cfg, policy)
+    check_poisson_rates(cfg, policy, spec.arrival_mode)
     if type(policy) is StaticPolicy:
         return _run_open_loop(spec, policy, warmup)
 
@@ -569,7 +576,7 @@ def _interleave(rng: np.random.Generator, seqs: list[list[int]],
 def _metrics(spec: RunSpec, policy_name: str, warmup: int,
              admitted: list[list[int]], served: list[list[int]],
              admitted_w: list[list[int]], served_w: list[list[int]],
-             q_trace: np.ndarray, state_visits: np.ndarray,
+             q_trace: np.ndarray | None, state_visits: np.ndarray,
              state_serves: np.ndarray, trace: dict[str, Any]) -> TraceMetrics:
     window = spec.horizon - warmup
     admitted_rate = tuple(

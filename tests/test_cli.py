@@ -8,6 +8,7 @@ from helpers import make_cfg
 from wfifo import ConfigError, RunSpec, run
 from wfifo.cli import (
     _UNIT_GRID,
+    LOCKSTEP_MIN_RUNS,
     ExperimentPlan,
     _fig8_cfg,
     main,
@@ -287,6 +288,32 @@ def test_simulate_trace_csv(tmp_path, capsys):
         q += int(a0) + int(a1) - (1 if int(queue) >= 0 else 0)
 
 
+@pytest.mark.parametrize("policy, lambdas, r_max", [
+    ("static", [[1e20]], 2.0),
+    ("qfc", None, 1e20),
+])
+def test_simulate_fluid_rate_limit(tmp_path, capsys, policy, lambdas, r_max):
+    path = write_cfg(tmp_path, "r.json", [[0.2]], lambdas=lambdas, r_max=r_max)
+    assert main(["simulate", "--config", path, "--policy", policy,
+                 "--horizon", "100"]) == 1
+    err = _one_error_line(capsys)
+    assert "fluid arrivals" in err and "exceeds 700" in err
+
+
+@pytest.mark.parametrize("policy, field", [
+    ("static", "queues[0].flows[0].lambda"),
+    ("qfc", "r_max"),
+])
+def test_sweep_fluid_rate_limit_fails_before_the_first_run(tmp_path, capsys, policy, field):
+    plan = write_plan(tmp_path, "p.json",
+                      config=make_cfg([[0.2]], lambdas=[[0.1]]).to_dict(),
+                      parameter=field, values=[1.0, 1e20], seeds=1,
+                      policies=[policy], horizon=50)
+    assert main(["sweep", "--plan", plan]) == 1
+    err = _one_error_line(capsys)  # no progress line
+    assert "fluid arrivals" in err and "exceeds 700" in err
+
+
 # ----- sweep -----
 
 
@@ -324,6 +351,38 @@ def test_run_cells_stores_only_what_keep_returns():
     results = run_cells(points, ["qfc", "maxweight"], horizon=50, seeds=3,
                         master_seed=11, keep=lambda m: m.seed)
     assert results == {p: [[11, 12, 13]] * 2 for p in ("qfc", "maxweight")}
+
+
+def test_run_cells_routes_fluid_closed_loop_cells_through_run_batch(capsys):
+    # fluid qfc and max-weight cells run in lockstep (q_trace None); fluid
+    # dfc-static and every stochastic cell run through run() (q_trace kept)
+    points = [make_cfg([[0.2, 0.5]], M=50.0),
+              [make_cfg([[0.1, 0.4], [0.3]], M=50.0), make_cfg([[0.6]], M=50.0),
+               make_cfg([[0.2, 0.0, 0.7]], M=50.0)]]
+    policies = ["qfc", "dfc-static", "maxweight"]
+
+    def keep(m):
+        return (m.q_trace is None, m.seed, m.policy_name, m.admitted_packets,
+                m.served_rate, m.state_visits.tolist(), m.state_serves.tolist())
+
+    for mode in ("fluid", "stochastic"):
+        got = run_cells(points, policies, horizon=3000, seeds=3, master_seed=21,
+                        keep=keep, warmup=300, arrival_mode=mode)
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(" done,")[0] for line in err] == [
+            "wfifo: point 1/2", "wfifo: point 2/2"]
+        for p in policies:
+            lockstep = mode == "fluid" and p != "dfc-static"
+            for i, point in enumerate(points):
+                cfgs = point if isinstance(point, list) else [point] * 3
+                want = [keep(run(RunSpec(cfg=cfg, policy=p, horizon=3000, warmup=300,
+                                         seed=21 + j, arrival_mode=mode)))
+                        for j, cfg in enumerate(cfgs)]
+                assert got[p][i] == [(lockstep,) + w[1:] for w in want]
+    # too few lockstep cells to pay for a batch: one run() each
+    few = run_cells(points[:1], ["qfc", "maxweight"], horizon=100, seeds=3,
+                    master_seed=0, keep=lambda m: m.q_trace is None)
+    assert 2 * 3 < LOCKSTEP_MIN_RUNS and few == {"qfc": [[False] * 3], "maxweight": [[False] * 3]}
 
 
 def test_qfc_total_rate_grows_with_beta():

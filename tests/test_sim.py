@@ -11,6 +11,7 @@ from wfifo import (
     detect_stability,
     joint_state_hol_prob,
     run,
+    run_batch,
     run_saturated,
     serve_if_on_policy,
     solve_dfc,
@@ -18,6 +19,7 @@ from wfifo import (
 )
 from wfifo.core import ConfigError, enumerate_states
 from wfifo.policies import Policy, StaticPolicy, build_policy
+from wfifo import lockstep
 from wfifo.sim import check_poisson_rates, poisson_cdf, stream_seed
 
 
@@ -372,6 +374,97 @@ def test_named_open_loop_policies_take_the_block_path(name):
     spec = RunSpec(cfg=cfg, policy=pol, horizon=5000, seed=8,
                    arrival_mode="stochastic")
     _assert_same_metrics(run(spec), run(dataclasses.replace(spec, policy=_Delegate(pol))))
+
+
+# ----- lockstep closed-loop engine against run() -----
+
+
+# (p_off rows, policy, M, r_max, beta): N = 1-3 queues of 1-10 flows, both
+# policies, p_off 0 and 1, a dead queue (run 2), and r_max 3.5, so one flow
+# alone can bring 3 packets in a slot. Run 1 is max-weight behind a dead
+# flow: its backlog outgrows the FIFO many times over, and its queue is
+# followed by live queues of the same run, so an entry written past the end
+# of its FIFO row would show.
+_LOCKSTEP_CASES = [
+    ([[0.2, 0.5]], "qfc", 50.0, 2.0, 1.0),
+    ([[0.0, 1.0, 0.3], [0.2], [0.4, 0.1]], "maxweight", 1000.0, 3.5, 1.0),
+    ([[1.0, 1.0], [0.1]], "qfc", 20.0, 3.5, 1.0),
+    ([[0.1, 0.4, 0.6, 0.2], [0.3, 0.0], [0.7]], "maxweight", 5.0, 0.7, 1.0),
+    ([[0.05 * k for k in range(10)]], "qfc", 100.0, 2.0, 1.0),
+    ([[0.9, 0.1, 0.5, 0.3, 0.7, 0.2, 0.6]], "maxweight", 100.0, 2.0, 1.0),
+    ([[0.5, 0.5, 0.5], [0.2], [0.9, 0.1]], "qfc", 1000.0, 2.0, 2.0),
+    ([[0.0]], "maxweight", 10.0, 3.5, 1.0),
+    ([[0.3, 0.6], [0.3, 0.6]], "qfc", 100.0, 3.5, 2.5),
+    ([[0.1, 0.5], [0.1, 0.5]], "maxweight", 100.0, 2.0, 2.5),
+]
+
+
+@pytest.mark.parametrize("third", [False, True])
+@pytest.mark.parametrize("horizon", [10, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_run_batch_equals_run(horizon, third):
+    warmup = horizon // 3 if third else 0
+    specs = [RunSpec(cfg=make_cfg(rows, M=M, r_max=r_max, beta=beta), policy=pol,
+                     horizon=horizon, warmup=warmup, seed=50 + 7 * i)
+             for i, (rows, pol, M, r_max, beta) in enumerate(_LOCKSTEP_CASES)]
+    batch = run_batch(specs)
+    sizes = []
+    for spec, got in zip(specs, batch):
+        # the trace changes no metric; it shows which interleaves ran
+        ref = run(dataclasses.replace(spec, record_trace=True))
+        assert got.q_trace is None and got.trace == {}
+        _assert_same_metrics(dataclasses.replace(got, q_trace=ref.q_trace, trace=ref.trace), ref)
+        sizes.append(ref.trace["arrivals_by_slot"])
+    sizes = np.concatenate([a.ravel() for a in sizes])
+    assert (sizes == 2).any() and (sizes >= 3).any()  # swap and shuffle draws
+    if horizon > 4096:
+        # the dead-flow max-weight backlog outgrew the FIFO's first capacity
+        # (64 entries for this batch) several doublings over
+        assert run(specs[1]).q_trace.max() > 1024
+
+
+def test_run_batch_runs_a_batch_too_large_for_its_state_counters_in_parts(monkeypatch):
+    specs = [RunSpec(cfg=make_cfg(rows, M=M, r_max=r_max, beta=beta), policy=pol,
+                     horizon=500, seed=50 + 7 * i)
+             for i, (rows, pol, M, r_max, beta) in enumerate(_LOCKSTEP_CASES[:5])]
+    whole = run_batch(specs)
+    monkeypatch.setattr(lockstep, "_STATE_ENTRIES_MAX", 64)  # two runs of 3 queues
+    for got, want in zip(run_batch(specs), whole):
+        _assert_same_metrics(got, want)
+
+
+def test_run_batch_takes_only_fluid_qfc_and_maxweight_runs():
+    cfg = make_cfg([[0.2, 0.5]], lambdas=[[0.1, 0.2]])
+    spec = RunSpec(cfg=cfg, policy="qfc", horizon=100, warmup=10)
+    assert run_batch([]) == []
+    for bad in (dataclasses.replace(spec, arrival_mode="stochastic"),
+                dataclasses.replace(spec, policy="static"),
+                dataclasses.replace(spec, policy="dfc-static"),
+                dataclasses.replace(spec, policy=build_policy(cfg, "static")),
+                dataclasses.replace(spec, record_trace=True),
+                dataclasses.replace(spec, horizon=200),
+                dataclasses.replace(spec, warmup=20)):
+        with pytest.raises(ValueError):
+            run_batch([spec, bad])
+    # a shared warmup may be given or left to its default
+    assert len(run_batch([spec, dataclasses.replace(spec, warmup=None)])) == 2
+
+
+@pytest.mark.parametrize("policy, field", [("static", "lambda"), ("qfc", "r_max"),
+                                           ("maxweight", "r_max")])
+def test_fluid_rates_are_capped_too(policy, field):
+    rate = 1e20
+    cfg = (single_queue_cfg([0.2], lambdas=[rate]) if field == "lambda"
+           else single_queue_cfg([0.2], r_max=rate))
+    spec = RunSpec(cfg=cfg, policy=policy, horizon=100, seed=0)
+    what = "arrival rate" if field == "lambda" else "r_max"
+    with pytest.raises(ConfigError, match=f"fluid arrivals: {what} 1e\\+20 exceeds 700"):
+        run(spec)
+    if policy != "static":
+        with pytest.raises(ConfigError, match="fluid arrivals: r_max"):
+            run_batch([spec])
+    ok = dataclasses.replace(spec, cfg=single_queue_cfg(
+        [0.2], lambdas=[700.0] if field == "lambda" else None, r_max=700.0))
+    assert run(ok).horizon == 100
 
 
 # ----- saturated head-of-line process -----
