@@ -32,8 +32,17 @@ channel draws. Each stream is read in blocks of 4,096 slots:
   below 0.5), a `shuffle` for a larger one. Fluid mode draws only the
   interleaves.
 
-`run_saturated` draws one channel uniform per queue and slot, and its HOL
-refills from "arrivals".
+`run_saturated` reads "channels" as one (4096, N) uniform block, one column
+per queue (queue n is ON in slot t when U[t, n] >= the p_off of its HOL
+flow), and "scheduling" as above (the slot goes to the int(u * n_on)-th ON
+queue in queue order). "arrivals" gives the HOL draws: one uniform per queue
+at the start, then one per departure in slot order, each mapped through that
+queue's cumulative mix. A slot with any HOL channel ON has a departure, and
+every other slot leaves the HOL vector as it is, so the engine steps from
+departure to departure over per-block next-ON tables. It takes the arrival
+uniforms a block ahead as vectors, which are the values one draw per
+departure returns, in the same order; nothing reads the stream after the
+horizon, so uniforms drawn past the last departure change nothing.
 
 A `StaticPolicy` (static, dfc-static, serve-if-on) admits independently of
 the state, so `run` gives it a block path: a block's arrival counts and
@@ -50,6 +59,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from array import array
 from bisect import bisect_right
 from collections import deque
@@ -653,98 +663,141 @@ def run_saturated(
     `hol_mix` (the queue's arrival shares). The slot goes to a uniformly
     random serviceable queue, a channel-state-only rule under which the
     stationary HOL statistics factor per queue.
+
+    The HOL vector changes only at departures, and a slot with any HOL
+    channel ON has one, so the loop steps from departure to departure over
+    per-block next-ON tables and the counts are block reductions of the
+    departures it records.
     """
+    errs = cfg.validate()
+    if errs:
+        raise ValueError("; ".join(errs))
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     n_queues = cfg.n_queues
     if len(hol_mix) != n_queues:
         raise ValueError(f"expected {n_queues} mix rows, got {len(hol_mix)}")
-    cum_mix: list[list[float]] = []
+    cum_mix: list[np.ndarray] = []
     for n, mix in enumerate(hol_mix):
         if len(mix) != cfg.n_flows(n):
             raise ValueError(f"queue {n}: mix must give one share per flow")
-        if any(m < 0 for m in mix) or math.fsum(mix) <= 0:
-            raise ValueError(f"queue {n}: mix must be nonnegative and sum > 0")
+        if not all(0.0 <= m <= sys.float_info.max for m in mix):  # NaN fails too
+            raise ValueError(f"queue {n}: mix shares must be finite and nonnegative")
+        try:
+            total = math.fsum(mix)
+        except OverflowError:
+            total = math.inf
+        if not 0.0 < total < math.inf:
+            raise ValueError(f"queue {n}: mix shares must have a finite sum > 0")
         for k, m in enumerate(mix):
             if m > 0 and cfg.queues[n].flows[k].p_on <= 0.0:
                 raise ValueError(
                     f"queue {n} flow {k}: absorbing blocking state "
                     "(HOL share > 0 with p_on = 0)"
                 )
-        total = math.fsum(mix)
-        acc, cum = 0.0, []
-        for m in mix:
-            acc += m / total
-            cum.append(acc)
+        cum = np.cumsum(np.array(mix, dtype=float) / total)  # left to right
         cum[-1] = 1.0
         cum_mix.append(cum)
 
-    p_off = [cfg.p_off_row(n) for n in range(n_queues)]
+    qs = range(n_queues)
+    k_max = max(cfg.n_flows(n) for n in qs)
+    # rows padded with flows that are never at the head
+    p_off = np.array([row + [1.0] * (k_max - len(row)) for row in map(cfg.p_off_row, qs)])
     rng_ch = _stream(seed, "channels")
     rng_ar = _stream(seed, "arrivals")
     rng_sc = _stream(seed, "scheduling")
 
-    def draw_hol(n: int) -> int:
-        u = rng_ar.random()
-        cum = cum_mix[n]
-        for k, c in enumerate(cum):
-            if u < c:
-                return k
-        return len(cum) - 1
+    # HOL draws in departure order: the flow is the count of cumulative
+    # shares at or below the uniform, so the first share above it
+    draws = rng_ar.random(n_queues)
+    hol = [int(np.searchsorted(cum_mix[n], draws[n], side="right")) for n in qs]
+    draws = draws[n_queues:]
+    joint = np.zeros((1 << n_queues, n_queues, k_max), dtype=np.int64)
 
-    hol = [draw_hol(n) for n in range(n_queues)]
-    max_k = max(cfg.n_flows(n) for n in range(n_queues))
-    z0 = [0] * n_queues
-    blocked = [[0] * cfg.n_flows(n) for n in range(n_queues)]
-    hol_count = [[0] * cfg.n_flows(n) for n in range(n_queues)]
-    joint = [
-        [[0] * max_k for _ in range(n_queues)] for _ in range(1 << n_queues)
-    ]
+    for b0 in range(0, horizon, _BLOCK):
+        size = min(_BLOCK, horizon - b0)
+        u_ch = rng_ch.random((_BLOCK, n_queues))[:size]
+        u_sc = rng_sc.random(_BLOCK)[:size].tolist()
+        if draws.size < size:  # at most one departure per slot
+            draws = np.concatenate([draws, rng_ar.random(_BLOCK)])
+        refills = np.array([np.searchsorted(c, draws[:size], side="right")
+                            for c in cum_mix])
+        refill_rows = refills.tolist()
+        # nxt[n][k][t]: first slot >= t where queue n is ON with flow k at
+        # its head, `size` if none is left in the block
+        slots = np.arange(size)
+        nxt = [
+            [np.minimum.accumulate(
+                np.where(u_ch[:, n] >= p, slots, size)[::-1])[::-1].tolist() + [size]
+             for p in cfg.p_off_row(n)]
+            for n in qs
+        ]
 
-    block_at = _BLOCK
-    ch_block: list = []
-    sc_block: list = []
-    on_flags = [False] * n_queues
-    for _ in range(horizon):
-        if block_at == _BLOCK:
-            ch_block = rng_ch.random((_BLOCK, n_queues)).tolist()
-            sc_block = rng_sc.random(_BLOCK).tolist()
-            block_at = 0
-        u_row = ch_block[block_at]
-        u_pick = sc_block[block_at]
-        block_at += 1
+        tabs = [nxt[n][hol[n]] for n in qs]
+        cand = [tab[0] for tab in tabs]
+        grant = [-1] * size
+        d = 0
+        while True:
+            t = min(cand)
+            if t == size:
+                break
+            c = cand.count(t)
+            n = cand.index(t)
+            if c > 1:  # the int(u * c)-th ON queue in queue order
+                for _ in range(int(u_sc[t] * c)):
+                    n = cand.index(t, n + 1)
+                grant[t] = n
+                tabs[n] = nxt[n][refill_rows[n][d]]
+                d += 1
+                for m in qs:
+                    if cand[m] == t:
+                        cand[m] = tabs[m][t + 1]
+                continue
+            # queue n alone is ON: it departs at each of its next-ON slots
+            # until another queue's comes first (a tie is left to the
+            # branch above); t < limit here, so `tab` is always set
+            cand[n] = size
+            limit = min(cand)
+            nx, rf = nxt[n], refill_rows[n]
+            while t < limit:
+                grant[t] = n
+                tab = nx[rf[d]]
+                d += 1
+                t = tab[t + 1]
+            cand[n] = t
+            tabs[n] = tab
+        draws = draws[d:]
 
-        state_bits = 0
-        n_on = 0
-        for n in range(n_queues):
-            k = hol[n]
-            hol_count[n][k] += 1
-            if u_row[n] >= p_off[n][k]:
-                on_flags[n] = True
-                state_bits |= 1 << n
-                n_on += 1
-                z0[n] += 1
-            else:
-                on_flags[n] = False
-                blocked[n][k] += 1
-        row = joint[state_bits]
-        for n in range(n_queues):
-            row[n][hol[n]] += 1
-        if n_on:
-            pick = int(u_pick * n_on)
-            for n in range(n_queues):
-                if on_flags[n]:
-                    if pick == 0:
-                        hol[n] = draw_hol(n)
-                        break
-                    pick -= 1
+        # per-slot HOL flows: a queue's HOL changes the slot after it departs
+        g = np.array(grant, dtype=np.int64)
+        ts = np.flatnonzero(g >= 0)
+        qd = g[ts]
+        new_k = refills[qd, np.arange(d)]
+        hols = np.empty((size, n_queues), dtype=np.int64)
+        for n in qs:
+            mine = qd == n
+            ks = np.concatenate(([hol[n]], new_k[mine]))
+            hols[:, n] = np.repeat(ks, np.diff(np.concatenate(([0], ts[mine] + 1, [size]))))
+            hol[n] = int(ks[-1])
+        state = (u_ch >= p_off[qs, hols]) @ (1 << np.arange(n_queues))
+        np.add.at(joint, (state[:, None], qs, hols), 1)
+
+    # every count is a marginal of the joint state-and-HOL counts
+    on_bit = (np.arange(1 << n_queues)[:, None] >> np.arange(n_queues)) & 1
+    hol_count = joint.sum(axis=0)
+    z0 = (joint.sum(axis=2) * on_bit).sum(axis=0)
+    blocked = (joint * (1 - on_bit)[:, :, None]).sum(axis=0)
+
+    def rates(rows: np.ndarray) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(c / horizon for c in rows[n, :cfg.n_flows(n)].tolist())
+                     for n in qs)
 
     return SaturatedMetrics(
         horizon=horizon,
-        p_serviceable=tuple(c / horizon for c in z0),
-        p_blocked=tuple(tuple(c / horizon for c in row) for row in blocked),
-        p_hol=tuple(tuple(c / horizon for c in row) for row in hol_count),
-        joint=np.asarray(joint, dtype=float) / horizon,
+        p_serviceable=tuple(c / horizon for c in z0.tolist()),
+        p_blocked=rates(blocked),
+        p_hol=rates(hol_count),
+        joint=joint / horizon,
     )
 
 

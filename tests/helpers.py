@@ -6,6 +6,7 @@ import numpy as np
 
 from wfifo import FlowSpec, NetworkConfig, QueueSpec
 from wfifo.dfc import LOG_FLOOR, _objective_const, _weights, solve_dfc
+from wfifo.sim import _BLOCK, SaturatedMetrics, _stream
 from wfifo.stability import inner_coefficients
 
 
@@ -98,3 +99,95 @@ def dfc_gap_vs_oracle(cfg: NetworkConfig, grid_step: float = 0.01) -> float:
         a = np.maximum((c * tau.T).sum(axis=1), LOG_FLOOR)
         best = max(best, float(np.dot(w, np.log(a))) + const)
     return sol.objective - best
+
+
+# ----- reference saturated head-of-line loop -----
+
+
+def run_saturated_reference(cfg: NetworkConfig, hol_mix: list[list[float]],
+                            horizon: int, seed: int = 0) -> SaturatedMetrics:
+    """`sim.run_saturated` one slot at a time, for inputs it accepts.
+
+    Every slot reads its channel row and grant draw from the block, counts
+    each queue's HOL and ON/OFF state, and on a grant to the pick-th ON queue
+    (in queue order) refills that queue's HOL with one `random()` from the
+    arrivals stream, mapped through the queue's cumulative mix.
+    """
+    n_queues = cfg.n_queues
+    cum_mix: list[list[float]] = []
+    for mix in hol_mix:
+        total = math.fsum(mix)
+        acc, cum = 0.0, []
+        for m in mix:
+            acc += m / total
+            cum.append(acc)
+        cum[-1] = 1.0
+        cum_mix.append(cum)
+
+    p_off = [cfg.p_off_row(n) for n in range(n_queues)]
+    rng_ch = _stream(seed, "channels")
+    rng_ar = _stream(seed, "arrivals")
+    rng_sc = _stream(seed, "scheduling")
+
+    def draw_hol(n: int) -> int:
+        u = rng_ar.random()
+        cum = cum_mix[n]
+        for k, c in enumerate(cum):
+            if u < c:
+                return k
+        return len(cum) - 1
+
+    hol = [draw_hol(n) for n in range(n_queues)]
+    max_k = max(cfg.n_flows(n) for n in range(n_queues))
+    z0 = [0] * n_queues
+    blocked = [[0] * cfg.n_flows(n) for n in range(n_queues)]
+    hol_count = [[0] * cfg.n_flows(n) for n in range(n_queues)]
+    joint = [
+        [[0] * max_k for _ in range(n_queues)] for _ in range(1 << n_queues)
+    ]
+
+    block_at = _BLOCK
+    ch_block: list = []
+    sc_block: list = []
+    on_flags = [False] * n_queues
+    for _ in range(horizon):
+        if block_at == _BLOCK:
+            ch_block = rng_ch.random((_BLOCK, n_queues)).tolist()
+            sc_block = rng_sc.random(_BLOCK).tolist()
+            block_at = 0
+        u_row = ch_block[block_at]
+        u_pick = sc_block[block_at]
+        block_at += 1
+
+        state_bits = 0
+        n_on = 0
+        for n in range(n_queues):
+            k = hol[n]
+            hol_count[n][k] += 1
+            if u_row[n] >= p_off[n][k]:
+                on_flags[n] = True
+                state_bits |= 1 << n
+                n_on += 1
+                z0[n] += 1
+            else:
+                on_flags[n] = False
+                blocked[n][k] += 1
+        row = joint[state_bits]
+        for n in range(n_queues):
+            row[n][hol[n]] += 1
+        if n_on:
+            pick = int(u_pick * n_on)
+            for n in range(n_queues):
+                if on_flags[n]:
+                    if pick == 0:
+                        hol[n] = draw_hol(n)
+                        break
+                    pick -= 1
+
+    return SaturatedMetrics(
+        horizon=horizon,
+        p_serviceable=tuple(c / horizon for c in z0),
+        p_blocked=tuple(tuple(c / horizon for c in row) for row in blocked),
+        p_hol=tuple(tuple(c / horizon for c in row) for row in hol_count),
+        joint=np.asarray(joint, dtype=float) / horizon,
+    )

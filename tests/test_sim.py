@@ -5,7 +5,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from helpers import make_cfg, single_queue_cfg
+from helpers import make_cfg, run_saturated_reference, single_queue_cfg
 from wfifo import (
     RunSpec,
     detect_stability,
@@ -510,6 +510,50 @@ def test_saturated_rejects_bad_mixes():
         run_saturated(cfg, [[1.0, -1.0], [1.0]], horizon=100)
     with pytest.raises(ValueError, match="absorbing"):
         run_saturated(make_cfg([[1.0, 0.1]]), [[0.5, 0.5]], horizon=100)
+    # the config is validated as `run` validates it
+    for p_off in (1.5, -0.5, math.nan):
+        with pytest.raises(ValueError, match=r"queues\[0\]\.flows\[0\]\.p_off: must be in \[0, 1\]"):
+            run_saturated(make_cfg([[p_off, 0.1]]), [[0.5, 0.5]], horizon=100)
+    # shares that are not finite, or whose sum is not, name their queue
+    for bad in ([math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0]):
+        with pytest.raises(ValueError, match="queue 1: mix shares must be finite"):
+            run_saturated(cfg, [[0.5, 0.5], bad[:1]], horizon=100)
+        with pytest.raises(ValueError, match="queue 0: mix shares must be finite"):
+            run_saturated(cfg, [bad, [1.0]], horizon=100)
+    with pytest.raises(ValueError, match="queue 0: mix shares must have a finite sum"):
+        run_saturated(cfg, [[1e308, 1e308], [1.0]], horizon=100)
+    with pytest.raises(ValueError, match="queue 1: mix shares must have a finite sum"):
+        run_saturated(cfg, [[0.5, 0.5], [0.0]], horizon=100)
+
+
+# (p_off rows, HOL mix): one to five queues, zero shares on flows whose
+# channel is always ON (p_off 0) or never ON (p_off 1), and queues blocked
+# often enough that all-OFF and several-ON slots both occur
+_SATURATED_CASES = [
+    ([[0.3]], [[1.0]]),
+    ([[0.0, 1.0, 0.6, 0.2]], [[0.0, 0.0, 0.7, 0.3]]),
+    ([[0.4, 0.1], [0.3]], [[0.5, 0.5], [1.0]]),
+    ([[0.8, 1.0], [0.0, 0.5, 0.9]], [[1.0, 0.0], [0.0, 0.4, 0.6]]),
+    ([[0.2, 0.7], [0.6], [0.5, 1.0, 0.9]], [[0.3, 0.7], [1.0], [0.2, 0.0, 0.8]]),
+    ([[0.9], [0.5, 0.0], [0.7, 0.3], [0.85]], [[1.0], [0.6, 0.0], [0.5, 0.5], [1.0]]),
+    ([[0.6, 0.2], [0.9], [0.5], [0.3, 1.0, 0.8], [0.75]],
+     [[0.5, 0.5], [1.0], [1.0], [0.3, 0.0, 0.7], [1.0]]),
+]
+
+
+@pytest.mark.parametrize("horizon", [1, 10, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_run_saturated_equals_reference_loop(horizon):
+    for i, (rows, mix) in enumerate(_SATURATED_CASES):
+        cfg = make_cfg(rows)
+        for seed in (11 + i, 1_000 + 37 * i):
+            got = run_saturated(cfg, mix, horizon, seed)
+            want = run_saturated_reference(cfg, mix, horizon, seed)
+            assert got.horizon == want.horizon
+            assert got.p_serviceable == want.p_serviceable
+            assert got.p_blocked == want.p_blocked
+            assert got.p_hol == want.p_hol
+            assert got.joint.shape == want.joint.shape
+            assert np.array_equal(got.joint, want.joint)
 
 
 # ----- stability detector -----
