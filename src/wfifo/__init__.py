@@ -18,18 +18,13 @@ from .core import (
     Utility,
     config_digest,
     config_from_dict,
-    enumerate_states,
     load_config,
-    state_index,
-    state_vector,
 )
 from .dfc import DfcSolution, solve_dfc
 from .lockstep import run_batch
 from .markov import (
     SteadyState,
-    hol_distribution,
     joint_state_hol_prob,
-    service_availability,
     single_queue_steady_state,
     state_marginal,
 )
@@ -56,8 +51,8 @@ from .stability import (
     best_policy_search,
     check_inner_bound,
     check_service_region,
+    check_stability_region,
     inner_coefficient,
-    service_bound,
     single_queue_margin,
     sweep_two_queue_boundary,
 )
@@ -86,11 +81,10 @@ __all__ = [
     "build_policy",
     "check_inner_bound",
     "check_service_region",
+    "check_stability_region",
     "config_digest",
     "config_from_dict",
     "detect_stability",
-    "enumerate_states",
-    "hol_distribution",
     "inner_coefficient",
     "joint_state_hol_prob",
     "load_config",
@@ -98,14 +92,10 @@ __all__ = [
     "run_batch",
     "run_saturated",
     "serve_if_on_policy",
-    "service_availability",
-    "service_bound",
     "single_queue_margin",
     "single_queue_steady_state",
     "solve_dfc",
-    "state_index",
     "state_marginal",
-    "state_vector",
     "static_dfc_policy",
     "sweep_two_queue_boundary",
     "__version__",

@@ -50,9 +50,10 @@ from .sim import (
     stream_seed,
 )
 from .stability import (
+    Margin,
     best_policy_search,
     check_inner_bound,
-    check_service_region,
+    check_stability_region,
     single_queue_margin,
 )
 
@@ -83,13 +84,14 @@ def _digest_obj(obj: Any) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _open_csv(out: Optional[str]) -> ContextManager[IO[str]]:
-    """Open the CSV destination (stdout when None), creating its directory.
+def _open_out(out: Optional[str], stdout: bool = True) -> ContextManager[Optional[IO[str]]]:
+    """Open an output file, creating its directory; when `out` is None,
+    stdout, or None if `stdout` is false.
 
-    Called before the first run, so an unusable path fails at once.
+    Called before the work starts, so an unusable path fails at once.
     """
     if out is None:
-        return contextlib.nullcontext(sys.stdout)
+        return contextlib.nullcontext(sys.stdout if stdout else None)
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     return open(out, "w", encoding="utf-8", newline="\n")
 
@@ -129,6 +131,35 @@ def _slack_str(v: float) -> str:
     return f"{v:+.6g}"
 
 
+def _check_hol_work(cfg: NetworkConfig, lambdas: list[list[float]]) -> None:
+    """Reject rates whose total head-of-line work sum(lambda / p_on) leaves
+    float range: every closed form divides by a queue's share of it."""
+    try:
+        work = math.fsum(lam / (1.0 - p) for n in range(cfg.n_queues)
+                         for lam, p in zip(lambdas[n], cfg.p_off_row(n)) if lam > 0.0 and p < 1.0)
+    except OverflowError:
+        work = math.inf
+    if work == math.inf:
+        raise ConfigError("queues[*].flows[*].lambda: head-of-line work "
+                          "sum(lambda / p_on) overflows float range")
+
+
+def _print_subset_check(service: Margin, lambdas: list[list[float]]) -> None:
+    key = min(service.slacks, key=service.slacks.get)  # first of equal slacks
+    mask = int(key.removeprefix("subset[").removesuffix("]"))
+    queues = [n for n in range(len(lambdas)) if mask >> n & 1]
+    slack = service.slacks[key]
+    names = "{" + ",".join(map(str, queues)) + "}"
+    print("service check (best stationary split, by subsets of queues):")
+    print(f"  worst subset slack = {_slack_str(slack)}")
+    if slack == -math.inf:
+        print(f"  binding subset: queues {names} hold a flow with p_on = 0 and positive rate")
+    else:
+        need = math.fsum(lam for n in queues for lam in lambdas[n])
+        print(f"  binding subset: queues {names} need {_fmt(need)} of the slots, "
+              f"and at least one of them is serviceable in {_fmt(need + slack)}")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     missing = cfg.missing_lambda_fields()
@@ -140,6 +171,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         return 1
     lambdas = cfg.lambdas()
+    _check_hol_work(cfg, lambdas)
     print(f"config {config_digest(cfg)}: {cfg.n_queues} queue(s), "
           f"{sum(cfg.n_flows(n) for n in range(cfg.n_queues))} flow(s), "
           f"beta={_fmt(cfg.beta)}")
@@ -166,16 +198,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if cfg.n_queues <= 2:
         policy, service = best_policy_search(cfg, lambdas)
-        label = "best stationary split"
+        print("service check (best stationary split):")
+        for key, slack in sorted(service.slacks.items()):
+            if key.startswith("rate"):
+                print(f"  {key}: {_slack_str(slack)}")
+        print(f"  worst slack = {_slack_str(service.min_slack)}")
+        inner_label = ""
     else:
+        service = check_stability_region(cfg, lambdas)
+        _print_subset_check(service, lambdas)
         policy = SchedulingPolicy.uniform_over_on(cfg.n_queues)
-        service = check_service_region(cfg, lambdas, policy)
-        label = "uniform split among serviceable queues"
-    print(f"service check ({label}):")
-    for key, slack in sorted(service.slacks.items()):
-        if key.startswith("rate"):
-            print(f"  {key}: {_slack_str(slack)}")
-    print(f"  worst slack = {_slack_str(service.min_slack)}")
+        inner_label = "uniform split among serviceable queues; "
 
     absorbing = any(
         lam > 0.0 and p >= 1.0
@@ -194,7 +227,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             ]
             a.append(max(ratios) if ratios else 0.0)
         inner = check_inner_bound(cfg, a, policy)
-        print("inner bound (per-queue scale a_n = max_k lambda/p_on^beta):")
+        print(f"inner bound ({inner_label}per-queue scale a_n = max_k lambda/p_on^beta):")
         for key, slack in sorted(inner.slacks.items()):
             if key.startswith("scale"):
                 print(f"  {key}: {_slack_str(slack)}")
@@ -223,21 +256,21 @@ def _solution_dict(cfg: NetworkConfig, sol: DfcSolution) -> dict[str, Any]:
 
 def cmd_solve_dfc(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    sol = solve_dfc(cfg)
-    print(f"config {config_digest(cfg)}")
-    print(f"converged: {sol.converged}  iterations: {sol.iterations}  "
-          f"residual: {sol.kkt_residual:.3g}")
-    print(f"objective: {_fmt(sol.objective)}")
-    for n in range(cfg.n_queues):
-        print(f"queue {n}: a = {_fmt(sol.a[n])}, rates = "
-              + ", ".join(_fmt(v) for v in sol.lambdas[n]))
-    if cfg.n_queues <= 4:
-        print("slot shares by channel state (rows: state bits, LSB = queue 0):")
-        for s in range(1 << cfg.n_queues):
-            bits = format(s, f"0{cfg.n_queues}b")
-            print(f"  {bits}: " + ", ".join(_fmt(v) for v in sol.tau[s]))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(args.out, stdout=False) as fh:
+        sol = solve_dfc(cfg)
+        print(f"config {config_digest(cfg)}")
+        print(f"converged: {sol.converged}  iterations: {sol.iterations}  "
+              f"residual: {sol.kkt_residual:.3g}")
+        print(f"objective: {_fmt(sol.objective)}")
+        for n in range(cfg.n_queues):
+            print(f"queue {n}: a = {_fmt(sol.a[n])}, rates = "
+                  + ", ".join(_fmt(v) for v in sol.lambdas[n]))
+        if cfg.n_queues <= 4:
+            print("slot shares by channel state (rows: state bits, LSB = queue 0):")
+            for s in range(1 << cfg.n_queues):
+                bits = format(s, f"0{cfg.n_queues}b")
+                print(f"  {bits}: " + ", ".join(_fmt(v) for v in sol.tau[s]))
+        if fh is not None:
             json.dump(_solution_dict(cfg, sol), fh, indent=2)
             fh.write("\n")
     return 0 if sol.converged else 2
@@ -278,7 +311,7 @@ def _summary_dict(spec: RunSpec, metrics, verdict) -> dict[str, Any]:
     }
 
 
-def _write_trace_csv(path: str, cfg: NetworkConfig, metrics) -> None:
+def _write_trace_csv(fh: IO[str], cfg: NetworkConfig, metrics) -> None:
     horizon = metrics.horizon
     offsets, names = [], []
     total_flows = 0
@@ -295,19 +328,18 @@ def _write_trace_csv(path: str, cfg: NetworkConfig, metrics) -> None:
     served_by_slot = metrics.trace["served_by_slot"]
     cursors = [0] * cfg.n_queues
     departures = metrics.trace["departure_order"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config={config_digest(cfg)} seed={metrics.seed} "
-                 f"horizon={horizon} version={__version__}\n")
-        fh.write("slot,queue,Q_total,served_flow," + ",".join(names) + "\n")
-        for t in range(horizon):
-            q = int(served_by_slot[t])
-            if q >= 0:
-                flow = departures[q][cursors[q]][0]
-                cursors[q] += 1
-            else:
-                flow = -1
-            fh.write(f"{t},{q},{int(q_total[t])},{flow},"
-                     + ",".join(str(int(v)) for v in adm[t]) + "\n")
+    fh.write(f"# config={config_digest(cfg)} seed={metrics.seed} "
+             f"horizon={horizon} version={__version__}\n")
+    fh.write("slot,queue,Q_total,served_flow," + ",".join(names) + "\n")
+    for t in range(horizon):
+        q = int(served_by_slot[t])
+        if q >= 0:
+            flow = departures[q][cursors[q]][0]
+            cursors[q] += 1
+        else:
+            flow = -1
+        fh.write(f"{t},{q},{int(q_total[t])},{flow},"
+                 + ",".join(str(int(v)) for v in adm[t]) + "\n")
 
 
 def _check_budget(horizon: int, warmup: Optional[int], min_horizon: int, prefix: str) -> None:
@@ -338,17 +370,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         arrival_mode=args.arrival_mode,
         record_trace=args.trace is not None,
     )
-    metrics = run(spec)
-    verdict = detect_stability(metrics.q_trace, warmup=metrics.warmup)
-    summary = _summary_dict(spec, metrics, verdict)
-    text = json.dumps(summary, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.trace is not None:
-        _write_trace_csv(args.trace, cfg, metrics)
+    with _open_out(args.out) as out, _open_out(args.trace, stdout=False) as trace:
+        metrics = run(spec)
+        verdict = detect_stability(metrics.q_trace, warmup=metrics.warmup)
+        out.write(json.dumps(_summary_dict(spec, metrics, verdict), indent=2) + "\n")
+        if trace is not None:
+            _write_trace_csv(trace, cfg, metrics)
     return 2 if verdict.verdict == "unstable" else 0
 
 
@@ -551,7 +578,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                   "policies": plan.policies, "horizon": plan.horizon,
                   "warmup": plan.warmup, "arrival_mode": plan.arrival_mode}}
     )
-    with _open_csv(args.out) as fh:
+    with _open_out(args.out) as fh:
         columns, rows = plan_rows(plan, run_plan(plan, args.seed))
         _write_csv(fh, digest, args.seed, plan.horizon, columns, rows)
     return 0
@@ -698,7 +725,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seeds: must be >= 1, got {args.seeds}")
     _check_budget(args.horizon, None, 1, "--")
     out = str(Path(args.out) / f"{args.figure}.csv")
-    with _open_csv(out) as fh:
+    with _open_out(out) as fh:
         columns, rows, desc = FIGURES[args.figure](args)
         _write_csv(fh, _digest_obj(desc), args.seed, args.horizon, columns, rows)
     print(f"wrote {out}")

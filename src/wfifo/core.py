@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -147,6 +147,15 @@ class NetworkConfig:
         if not (self.r_max > 0) or not math.isfinite(self.r_max):
             errs.append(f"r_max: must be finite and > 0, got {self.r_max!r}")
         errs.extend(self.utility.validate())
+        # flows admit on the ray a * p_on**beta; once that leaves the normal
+        # float range, the reciprocal of a queue's sum of p_on**(beta - 1)
+        # overflows
+        live = [] if errs else [f.p_on for q in self.queues for f in q.flows
+                                if 0.0 < f.p_on < 1.0]
+        if live and min(live)**self.beta < sys.float_info.min:
+            cap = math.log(sys.float_info.min) / math.log(min(live))
+            errs.append(f"beta: p_on**beta leaves float range; must be at most "
+                        f"{cap:.6g} for p_on = {min(live)!r}, got {self.beta!r}")
         return errs
 
     def missing_lambda_fields(self) -> list[str]:
@@ -266,26 +275,6 @@ def state_bit(state: int, n: int) -> int:
     return (state >> n) & 1
 
 
-def state_vector(state: int, n_queues: int) -> tuple[int, ...]:
-    return tuple((state >> n) & 1 for n in range(n_queues))
-
-
-def state_index(bits: tuple[int, ...] | list[int]) -> int:
-    s = 0
-    for n, b in enumerate(bits):
-        if b not in (OFF, ON):
-            raise ValueError(f"state component {n} must be 0 or 1, got {b!r}")
-        s |= b << n
-    return s
-
-
-def enumerate_states(n_queues: int) -> Iterator[int]:
-    """All joint ON/OFF states as bitmask ints, in increasing order."""
-    if n_queues < 0 or n_queues > MAX_QUEUES_ENUMERATED:
-        raise ValueError(f"n_queues must be in [0, {MAX_QUEUES_ENUMERATED}], got {n_queues}")
-    return iter(range(1 << n_queues))
-
-
 @dataclass
 class SchedulingPolicy:
     """Stationary randomized scheduler: tau[s, n] is the probability of
@@ -315,9 +304,6 @@ class SchedulingPolicy:
     @property
     def n_queues(self) -> int:
         return int(self.tau.shape[1])
-
-    def prob(self, state: int, n: int) -> float:
-        return float(self.tau[state, n])
 
     @classmethod
     def uniform(cls, n_queues: int) -> "SchedulingPolicy":

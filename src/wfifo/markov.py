@@ -77,16 +77,6 @@ def single_queue_steady_state(lambdas: list[float], p_off: list[float]) -> Stead
     return SteadyState(p_serviceable, p_blocked, p_hol)
 
 
-def hol_distribution(lambdas: list[float], p_off: list[float]) -> tuple[float, ...]:
-    """P[flow k occupies the head of line] under saturation."""
-    return single_queue_steady_state(lambdas, p_off).p_hol
-
-
-def service_availability(lambdas: list[float], p_off: list[float]) -> float:
-    """Long-run fraction of slots in which the queue could transmit."""
-    return single_queue_steady_state(lambdas, p_off).p_serviceable
-
-
 def hol_channel_prob(p_off_k: float, s: int) -> float:
     """P[channel state s | flow k at HOL]: p_on if s is ON else p_off."""
     return (1.0 - p_off_k) if s == ON else p_off_k

@@ -3,10 +3,12 @@
 Three nested views of feasibility:
 
 * single queue: total head-of-line work sum(lam_k / p_on_k) <= 1.
-* multiqueue, exact: under a stationary scheduler tau, flow (n, k) can be
-  served at long-run rate lam_nk * r_n, where r_n averages queue n's grant
-  probability over joint channel states weighted by the other queues'
-  stationary state marginals. Feasible iff r_n >= 1 for every loaded queue.
+* multiqueue, exact: under a stationary scheduler tau, queue n is granted
+  a serviceable slot at rate r_n, its grant probability averaged over joint
+  channel states weighted by the other queues' stationary state marginals.
+  Feasible iff r_n covers the queue's head-of-line work for every loaded
+  queue. Under the best tau, feasible iff every subset of queues fits in
+  the slots where one of them is serviceable.
 * multiqueue, parametric inner region: restrict arrivals to the ray
   lam_nk = a_n * p_on_nk**beta. Then a_n is feasible iff
   a_n <= sum_s c_n(s) * tau[s, n] with the coefficients computed here.
@@ -60,71 +62,55 @@ def single_queue_margin(lambdas: list[float], p_off: list[float]) -> Margin:
     return Margin({"hol_load": 1.0 - load})
 
 
-def _queue_traffic(lambdas: list[list[float]], n: int) -> bool:
-    return any(lam > 0 for lam in lambdas[n])
+def _absorbing(lams: list[float], p_off: list[float]) -> bool:
+    """A loaded never-ON flow eventually pins the queue's head of line."""
+    return any(lam > 0.0 and p >= 1.0 for lam, p in zip(lams, p_off))
 
 
-def _queue_absorbing(cfg: NetworkConfig, lambdas: list[list[float]], n: int) -> bool:
-    return any(
-        lam > 0 and f.p_on <= 0.0
-        for lam, f in zip(lambdas[n], cfg.queues[n].flows)
-    )
-
-
-def _state_factor(cfg: NetworkConfig, lambdas: list[list[float]], m: int, s: int) -> float:
-    """Stationary P[queue m presents channel state s] seen by the scheduler.
+def _state_factor(lams: list[float], p_off: list[float], s: int) -> float:
+    """Stationary P[a queue with rates `lams` presents channel state s].
 
     A queue with no traffic never has a head-of-line packet, so it presents
-    OFF with probability 1; one stuck on a never-ON flow does the same.
+    OFF with probability 1; an absorbing queue does the same.
     """
-    if not _queue_traffic(lambdas, m) or _queue_absorbing(cfg, lambdas, m):
+    if all(lam <= 0.0 for lam in lams) or _absorbing(lams, p_off):
         return 1.0 if s == OFF else 0.0
-    return state_marginal(lambdas[m], cfg.p_off_row(m), s)
+    return state_marginal(lams, p_off, s)
 
 
-def _grant_rate(
-    cfg: NetworkConfig,
-    lambdas: list[list[float]],
-    policy: SchedulingPolicy,
-    n: int,
-) -> float:
-    """Average probability that queue n is granted a serviceable slot,
-    weighted by the other queues' state marginals."""
-    total = 0.0
-    for s in range(1 << cfg.n_queues):
-        if state_bit(s, n) != ON:
-            continue
-        w = policy.prob(s, n)
-        if w == 0.0:
-            continue
-        for m in range(cfg.n_queues):
-            if m != n:
-                w *= _state_factor(cfg, lambdas, m, state_bit(s, m))
-                if w == 0.0:
-                    break
-        total += w
-    return total
+def _factors(rows: list[tuple[list[float], list[float]]]) -> np.ndarray:
+    """(N, 2) table of each queue's (OFF, ON) factor from its (rates, p_off)."""
+    return np.array([[_state_factor(lams, p_off, OFF), _state_factor(lams, p_off, ON)]
+                     for lams, p_off in rows])
 
 
-def service_bound(
-    cfg: NetworkConfig,
-    lambdas: list[list[float]],
-    policy: SchedulingPolicy,
-    n: int,
-    k: int,
-) -> float:
-    """Long-run service rate available to flow k of queue n under `policy`."""
-    if policy.n_queues != cfg.n_queues:
-        raise ValueError("policy is sized for a different number of queues")
-    lam = lambdas[n][k]
-    if lam <= 0.0:
-        return 0.0
-    if _queue_absorbing(cfg, lambdas, n):
-        return 0.0
-    hol_work = math.fsum(
-        l / (1.0 - p) for l, p in zip(lambdas[n], cfg.p_off_row(n)) if l > 0
-    )
-    return lam * _grant_rate(cfg, lambdas, policy, n) / hol_work
+def _state_products(factor: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The (R, 2**N) table first[r] * prod_m factor[r, m, s_m] over state masks s.
+
+    factor[r, m] is row r's (OFF, ON) factor for queue m. The factors are
+    multiplied in increasing m; pass m appends the states with bit m set
+    after those with it clear, so the columns come out in mask order.
+    """
+    table = np.asarray(first, dtype=float)[:, None]
+    for m in range(factor.shape[1]):
+        table = np.concatenate(
+            [table * factor[:, m, OFF, None], table * factor[:, m, ON, None]], axis=1
+        )
+    return table
+
+
+def _served_products(factor: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Table w[n, s] = first[n] * 1[s_n = ON] * prod_{m != n} factor[m, s_m]:
+    the weight of a grant to queue n in state s."""
+    n_queues = len(factor)
+    rows = np.repeat(factor[None], n_queues, axis=0)
+    rows[np.arange(n_queues), np.arange(n_queues)] = (0.0, 1.0)  # 1[s_n = ON]
+    return _state_products(rows, first)
+
+
+def _grant_sum_slacks(policy: SchedulingPolicy) -> dict[str, float]:
+    idle = (1.0 - policy.tau.sum(axis=1)).tolist()
+    return {f"grant_sum[{s}]": v for s, v in enumerate(idle)}
 
 
 def check_service_region(
@@ -132,21 +118,56 @@ def check_service_region(
     lambdas: list[list[float]],
     policy: SchedulingPolicy,
 ) -> Margin:
-    """Exact feasibility of `lambdas` under a fixed stationary scheduler."""
+    """Exact feasibility of `lambdas` under a fixed stationary scheduler.
+
+    Queue n is granted a serviceable slot at rate
+    r_n = sum_s tau[s, n] * 1[s_n = ON] * prod_{m != n} f_m(s_m), with f_m
+    queue m's state marginal, and flow (n, k) is served at lam_nk * r_n / D_n,
+    with D_n = sum_k lam_nk / p_on_nk the queue's head-of-line work.
+    """
     if policy.n_queues != cfg.n_queues:
         raise ValueError("policy is sized for a different number of queues")
+    rows = [(lambdas[m], cfg.p_off_row(m)) for m in range(cfg.n_queues)]
+    grant = (_served_products(_factors(rows), np.ones(len(rows))) * policy.tau.T).sum(axis=1)
     slacks: dict[str, float] = {}
-    for n in range(cfg.n_queues):
-        for k, lam in enumerate(lambdas[n]):
+    for n, (lams, p_off) in enumerate(rows):
+        absorbing = _absorbing(lams, p_off)
+        hol_work = math.fsum(l / (1.0 - p) for l, p in zip(lams, p_off) if l > 0 and p < 1.0)
+        for k, lam in enumerate(lams):
             if lam <= 0.0:
                 slacks[f"rate[{n}][{k}]"] = 0.0
-            elif _queue_absorbing(cfg, lambdas, n):
+            elif absorbing:
                 slacks[f"rate[{n}][{k}]"] = -math.inf
             else:
-                slacks[f"rate[{n}][{k}]"] = service_bound(cfg, lambdas, policy, n, k) - lam
-    for s in range(1 << cfg.n_queues):
-        slacks[f"grant_sum[{s}]"] = 1.0 - float(np.sum(policy.tau[s]))
+                slacks[f"rate[{n}][{k}]"] = lam * float(grant[n]) / hol_work - lam
+    slacks.update(_grant_sum_slacks(policy))
     return Margin(slacks)
+
+
+def check_stability_region(cfg: NetworkConfig, lambdas: list[list[float]]) -> Margin:
+    """Exact feasibility of `lambdas` under the best stationary scheduler.
+
+    Over every grant table, x_n = f_n(ON) * r_n (see `check_service_region`)
+    ranges over the polymatroid x(A) <= 1 - prod_{m in A} f_m(OFF), A any
+    subset of queues: the server-allocation region of Tassiulas and
+    Ephremides (IEEE Trans. Inf. Theory 39(2), 1993). Queue n keeps up iff
+    x_n >= f_n(ON) * D_n = Lambda_n, its total rate. So the rates are feasible
+    iff the queues of every A need at most the slots where one of them is
+    serviceable, Lambda(A) <= 1 - prod_{m in A} f_m(OFF); a violated subset
+    certifies infeasibility for every tau.
+
+    Slacks are keyed `subset[A]` by the nonzero mask A (bit n: queue n); a
+    subset holding an absorbing queue gets -inf.
+    """
+    rows = [(lambdas[m], cfg.p_off_row(m)) for m in range(cfg.n_queues)]
+    off = _factors(rows)[:, OFF]  # P[every queue in A presents OFF] from (1, f_m(OFF))
+    all_off = _state_products(np.stack([np.ones_like(off), off], axis=1)[None], np.ones(1))[0]
+    need = np.zeros(1)  # Lambda(A), built up one queue at a time like the products
+    for lams, p_off in rows:
+        total = math.inf if _absorbing(lams, p_off) else math.fsum(lams)
+        need = np.concatenate([need, need + total])
+    slack = ((1.0 - all_off) - need).tolist()
+    return Margin({f"subset[{a}]": slack[a] for a in range(1, len(slack))})
 
 
 # ----- Parametric inner region: lam_nk = a_n * p_on**beta -----
@@ -154,6 +175,19 @@ def check_service_region(
 
 def _live_p_on(cfg: NetworkConfig, n: int) -> list[float]:
     return [p for p in cfg.p_on_row(n) if p > 0.0]
+
+
+def _kappa(cfg: NetworkConfig, n: int) -> float:
+    """Own-queue factor 1 / sum_k p_on**(beta - 1) over live flows; 0 if dead."""
+    p_on = _live_p_on(cfg, n)
+    return 1.0 / math.fsum(p**(cfg.beta - 1.0) for p in p_on) if p_on else 0.0
+
+
+def _ray_row(cfg: NetworkConfig, m: int) -> tuple[list[float], list[float]]:
+    """Queue m's (rates, p_off) on the ray lam = a * p_on**beta, with a = 1
+    (it cancels from the marginal) and p_off recomputed as 1 - p_on."""
+    p_on = cfg.p_on_row(m)
+    return [p**cfg.beta for p in p_on], [1.0 - p for p in p_on]
 
 
 def inner_coefficient(cfg: NetworkConfig, n: int, state: int) -> float:
@@ -164,61 +198,31 @@ def inner_coefficient(cfg: NetworkConfig, n: int, state: int) -> float:
         raise ValueError(f"queue index {n} out of range")
     if not (0 <= state < (1 << cfg.n_queues)):
         raise ValueError(f"state {state} out of range")
-    p_on = _live_p_on(cfg, n)
-    if not p_on:
+    if not _live_p_on(cfg, n):
         raise ValueError(f"queue {n}: dead queue (every flow has p_on = 0)")
     if state_bit(state, n) != ON:
         return 0.0
-    beta = cfg.beta
-    c = 1.0 / math.fsum(p**(beta - 1.0) for p in p_on)
+    c = _kappa(cfg, n)
     for m in range(cfg.n_queues):
         if m == n:
             continue
-        c *= _exponent_state_factor(cfg, m, state_bit(state, m))
+        c *= _state_factor(*_ray_row(cfg, m), state_bit(state, m))
         if c == 0.0:
             break
     return c
 
 
-def _exponent_state_factor(cfg: NetworkConfig, m: int, s: int) -> float:
-    """State marginal of queue m when it admits on the ray lam = a * p_on**beta.
-
-    This is the generic state marginal evaluated at synthetic rates
-    p_on**beta; the scale a cancels. A dead queue admits nothing and
-    presents OFF.
-    """
-    p_on = cfg.p_on_row(m)
-    live = [(p**cfg.beta, 1.0 - p) for p in p_on if p > 0.0]
-    if not live:
-        return 1.0 if s == OFF else 0.0
-    lams = [w for w, _ in live]
-    p_offs = [p for _, p in live]
-    return state_marginal(lams, p_offs, s)
-
-
 def inner_coefficients(cfg: NetworkConfig) -> np.ndarray:
     """Table c[n, s] of every `inner_coefficient`; a dead queue's row is zeros.
 
-    c_n(s) = kappa_n * 1[s_n = ON] * prod_{m != n} f_m(s_m) factors per queue,
-    so each f_m is evaluated once per channel state and the products are
-    taken in increasing m, the order `inner_coefficient` uses: the table
-    equals the per-state values bit for bit.
+    c_n(s) = kappa_n * 1[s_n = ON] * prod_{m != n} f_m(s_m), with f_m queue
+    m's state marginal on the ray. The products start from kappa_n and take
+    the f_m in increasing m, the order `inner_coefficient` uses, so the
+    table equals the per-state values bit for bit.
     """
     n_queues = cfg.n_queues
-    queues = np.arange(n_queues)
-    bits = (np.arange(1 << n_queues) >> queues[:, None]) & 1  # (N, 2**N)
-    kappa = np.zeros(n_queues)
-    factor = np.empty((n_queues, 2))  # f_m(OFF), f_m(ON)
-    for m in range(n_queues):
-        p_on = _live_p_on(cfg, m)
-        if p_on:
-            kappa[m] = 1.0 / math.fsum(p**(cfg.beta - 1.0) for p in p_on)
-        factor[m] = [_exponent_state_factor(cfg, m, OFF),
-                     _exponent_state_factor(cfg, m, ON)]
-    c = np.where(bits == ON, kappa[:, None], 0.0)
-    for m in range(n_queues):
-        c[queues != m] *= factor[m, bits[m]]
-    return c
+    kappa = np.array([_kappa(cfg, n) for n in range(n_queues)])
+    return _served_products(_factors([_ray_row(cfg, m) for m in range(n_queues)]), kappa)
 
 
 def check_inner_bound(
@@ -241,8 +245,7 @@ def check_inner_bound(
             continue
         cap = math.fsum(c[n] * policy.tau[:, n])
         slacks[f"scale[{n}]"] = cap - a_n
-    idle = (1.0 - policy.tau.sum(axis=1)).tolist()
-    slacks.update((f"grant_sum[{s}]", v) for s, v in enumerate(idle))
+    slacks.update(_grant_sum_slacks(policy))
     return Margin(slacks)
 
 

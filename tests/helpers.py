@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 
-from wfifo import FlowSpec, NetworkConfig, QueueSpec
+from wfifo import FlowSpec, NetworkConfig, QueueSpec, SchedulingPolicy
+from wfifo.core import OFF, ON, state_bit
 from wfifo.dfc import LOG_FLOOR, _objective_const, _weights, solve_dfc
+from wfifo.markov import state_marginal
 from wfifo.sim import _BLOCK, SaturatedMetrics, _stream
 from wfifo.stability import inner_coefficients
 
@@ -24,6 +26,52 @@ def make_cfg(p_off_rows, lambdas=None, beta=1.0, M=1000.0, r_max=2.0):
 
 def single_queue_cfg(p_off, lambdas=None, **kw):
     return make_cfg([list(p_off)], None if lambdas is None else [list(lambdas)], **kw)
+
+
+# ----- reference per-state region check -----
+
+
+def _reference_state_factor(cfg, lambdas, m, s):
+    lams, p_off = lambdas[m], cfg.p_off_row(m)
+    if not any(lam > 0 for lam in lams) or any(
+        lam > 0 and p >= 1.0 for lam, p in zip(lams, p_off)
+    ):
+        return 1.0 if s == OFF else 0.0
+    return state_marginal(lams, p_off, s)
+
+
+def service_region_reference(cfg: NetworkConfig, lambdas, policy: SchedulingPolicy):
+    """Slacks of `stability.check_service_region`, one state at a time.
+
+    Queue n's grant rate sums tau[s, n] times the other queues' state
+    marginals over the states where queue n presents ON; flow (n, k) is
+    served at lam * rate / (head-of-line work).
+    """
+    n_queues = cfg.n_queues
+    slacks = {}
+    for n in range(n_queues):
+        p_off = cfg.p_off_row(n)
+        absorbing = any(lam > 0 and p >= 1.0 for lam, p in zip(lambdas[n], p_off))
+        rate = 0.0
+        for s in range(1 << n_queues):
+            if state_bit(s, n) != ON:
+                continue
+            w = float(policy.tau[s, n])
+            for m in range(n_queues):
+                if m != n:
+                    w *= _reference_state_factor(cfg, lambdas, m, state_bit(s, m))
+            rate += w
+        for k, lam in enumerate(lambdas[n]):
+            if lam <= 0.0:
+                slacks[f"rate[{n}][{k}]"] = 0.0
+            elif absorbing:
+                slacks[f"rate[{n}][{k}]"] = -math.inf
+            else:
+                work = math.fsum(l / (1.0 - p) for l, p in zip(lambdas[n], p_off) if l > 0)
+                slacks[f"rate[{n}][{k}]"] = lam * rate / work - lam
+    for s in range(1 << n_queues):
+        slacks[f"grant_sum[{s}]"] = 1.0 - float(np.sum(policy.tau[s]))
+    return slacks
 
 
 # ----- reference maximizers -----

@@ -16,10 +16,7 @@ from wfifo import (
     Utility,
     config_digest,
     config_from_dict,
-    enumerate_states,
     load_config,
-    state_index,
-    state_vector,
 )
 from wfifo.core import MAX_QUEUES_ENUMERATED, state_bit
 
@@ -195,27 +192,17 @@ def test_load_config_roundtrip(tmp_path):
 
 
 def test_state_vector_examples():
-    assert state_vector(0, 3) == (0, 0, 0)
-    assert state_vector(6, 3) == (0, 1, 1)
+    assert [state_bit(0, n) for n in range(3)] == [0, 0, 0]
+    assert [state_bit(6, n) for n in range(3)] == [0, 1, 1]
     assert state_bit(6, 0) == 0 and state_bit(6, 1) == 1
 
 
-def test_state_index_rejects_non_binary():
-    with pytest.raises(ValueError, match="0 or 1"):
-        state_index((0, 2))
-
-
-def test_enumerate_states_order_and_count():
-    assert list(enumerate_states(2)) == [0, 1, 2, 3]
-    assert len(list(enumerate_states(0))) == 1
-    with pytest.raises(ValueError):
-        list(enumerate_states(MAX_QUEUES_ENUMERATED + 1))
-
-
-@given(st.integers(min_value=1, max_value=8), st.data())
-def test_state_roundtrip(n, data):
-    s = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    assert state_index(state_vector(s, n)) == s
+def test_config_rejects_more_queues_than_the_state_cap():
+    cap = MAX_QUEUES_ENUMERATED
+    queues = [{"flows": [{"p_off": 0.5}]}] * (cap + 1)
+    with pytest.raises(ConfigError, match=rf"^queues: at most {cap} queues supported"):
+        config_from_dict({"queues": queues})
+    assert config_from_dict({"queues": queues[:-1]}).n_queues == cap
 
 
 # ----- scheduling policies -----
@@ -224,15 +211,15 @@ def test_state_roundtrip(n, data):
 def test_uniform_policy_rows():
     pol = SchedulingPolicy.uniform(2)
     assert pol.n_queues == 2
-    assert pol.prob(3, 0) == pytest.approx(0.5)
+    assert pol.tau[3, 0] == pytest.approx(0.5)
     assert np.allclose(pol.tau.sum(axis=1), 1.0)
 
 
 def test_uniform_over_on_skips_off_queues():
     pol = SchedulingPolicy.uniform_over_on(2)
     assert pol.tau[0].tolist() == [0.0, 0.0]  # all OFF: idle
-    assert pol.prob(1, 0) == 1.0 and pol.prob(1, 1) == 0.0
-    assert pol.prob(3, 0) == pytest.approx(0.5)
+    assert pol.tau[1, 0] == 1.0 and pol.tau[1, 1] == 0.0
+    assert pol.tau[3, 0] == pytest.approx(0.5)
 
 
 def test_policy_rejects_negative_and_oversubscribed_rows():
@@ -247,7 +234,7 @@ def test_policy_rejects_negative_and_oversubscribed_rows():
 @given(st.integers(min_value=1, max_value=6))
 def test_uniform_over_on_grants_exactly_the_on_mass(n):
     pol = SchedulingPolicy.uniform_over_on(n)
-    for s in enumerate_states(n):
+    for s in range(1 << n):
         row = pol.tau[s]
         assert row.sum() == pytest.approx(1.0 if s else 0.0)
         for q in range(n):

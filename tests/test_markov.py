@@ -6,10 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import make_cfg
 from wfifo import (
-    enumerate_states,
-    hol_distribution,
     joint_state_hol_prob,
-    service_availability,
     single_queue_steady_state,
     state_marginal,
 )
@@ -51,13 +48,17 @@ def test_symmetric_flows_collapse_to_p_on():
     assert ss.p_serviceable == pytest.approx(0.6)
 
 
+def _p_hol(lambdas, p_off):
+    return single_queue_steady_state(lambdas, p_off).p_hol
+
+
 def test_hol_distribution_hand_case():
-    assert hol_distribution([0.3, 0.3], [0.4, 0.1]) == pytest.approx((0.6, 0.4))
+    assert _p_hol([0.3, 0.3], [0.4, 0.1]) == pytest.approx((0.6, 0.4))
 
 
 def test_hol_distribution_equal_channels_gives_traffic_shares():
-    assert hol_distribution([0.3, 0.1], [0.5, 0.5]) == pytest.approx((0.75, 0.25))
-    assert hol_distribution([0.7], [0.2]) == (1.0,)
+    assert _p_hol([0.3, 0.1], [0.5, 0.5]) == pytest.approx((0.75, 0.25))
+    assert _p_hol([0.7], [0.2]) == (1.0,)
 
 
 def test_zero_rate_flows_are_dropped_exactly():
@@ -82,9 +83,12 @@ def test_loaded_dead_channel_is_an_error():
 
 
 def test_service_availability_examples():
-    assert service_availability([0.2, 0.2], [0.5, 0.0]) == pytest.approx(2 / 3)
-    assert service_availability([0.7], [0.3]) == pytest.approx(0.7)
-    assert service_availability([0.45, 0.45], [0.1, 0.1]) == pytest.approx(0.9)
+    def availability(lambdas, p_off):
+        return single_queue_steady_state(lambdas, p_off).p_serviceable
+
+    assert availability([0.2, 0.2], [0.5, 0.0]) == pytest.approx(2 / 3)
+    assert availability([0.7], [0.3]) == pytest.approx(0.7)
+    assert availability([0.45, 0.45], [0.1, 0.1]) == pytest.approx(0.9)
 
 
 def test_hol_channel_prob():
@@ -159,7 +163,7 @@ def test_joint_two_queue_probabilities_partition(rows_a, rows_b):
     for n in range(2):
         total = sum(
             joint_state_hol_prob(cfg, lams, s, n, k)
-            for s in enumerate_states(2)
+            for s in range(1 << 2)
             for k in range(cfg.n_flows(n))
         )
         assert total == pytest.approx(1.0, abs=1e-9)

@@ -17,7 +17,7 @@ from wfifo import (
     solve_dfc,
     static_dfc_policy,
 )
-from wfifo.core import ConfigError, enumerate_states
+from wfifo.core import ConfigError
 from wfifo.policies import Policy, StaticPolicy, build_policy
 from wfifo import lockstep
 from wfifo.sim import check_poisson_rates, poisson_cdf, stream_seed
@@ -104,7 +104,7 @@ def test_state_counters_cover_window_and_respect_channels():
     m = small_run()
     window = m.horizon - m.warmup
     assert int(m.state_visits.sum()) == window
-    for s in enumerate_states(2):
+    for s in range(1 << 2):
         for n in range(2):
             if m.state_serves[s, n] > 0:
                 assert (s >> n) & 1 == 1  # never served while OFF
@@ -493,7 +493,7 @@ def test_saturated_two_queue_joint_matches_product_form():
     lams = [[0.3, 0.3], [0.2]]
     mix = [[0.5, 0.5], [1.0]]
     sat = run_saturated(cfg, mix, horizon=300_000, seed=9)
-    for s in enumerate_states(2):
+    for s in range(1 << 2):
         for n in range(2):
             for k in range(cfg.n_flows(n)):
                 want = joint_state_hol_prob(cfg, lams, s, n, k)

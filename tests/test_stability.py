@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_cfg, single_queue_cfg
+from helpers import make_cfg, service_region_reference, single_queue_cfg
 from wfifo import (
     SchedulingPolicy,
     best_policy_search,
     check_inner_bound,
     check_service_region,
+    check_stability_region,
     inner_coefficient,
-    service_bound,
     single_queue_margin,
     sweep_two_queue_boundary,
 )
@@ -56,6 +56,13 @@ def test_single_queue_margin_input_checks():
         single_queue_margin([0.1], [1.5])
     with pytest.raises(ValueError, match="length"):
         single_queue_margin([0.1], [0.5, 0.5])
+
+
+def service_bound(cfg, lambdas, policy, n, k):
+    """Long-run service rate available to flow k of queue n: its rate slack
+    plus its rate."""
+    slack = check_service_region(cfg, lambdas, policy).slacks[f"rate[{n}][{k}]"]
+    return slack + lambdas[n][k]
 
 
 def test_service_bound_single_queue_reduction():
@@ -209,7 +216,7 @@ def _reference_scale_slack(cfg, a, pol, n):
     if _is_dead(cfg, n):
         return 0.0 if a[n] == 0.0 else -math.inf
     cap = math.fsum(
-        inner_coefficient(cfg, n, s) * pol.prob(s, n)
+        inner_coefficient(cfg, n, s) * pol.tau[s, n]
         for s in range(1 << cfg.n_queues)
     )
     return cap - a[n]
@@ -276,7 +283,7 @@ def test_inner_feasible_points_are_region_feasible():
         cfg = make_cfg(rows, beta=beta)
         pol = SchedulingPolicy.uniform_over_on(n_queues)
         caps = [
-            sum(inner_coefficient(cfg, n, s) * pol.prob(s, n) for s in range(1 << n_queues))
+            sum(inner_coefficient(cfg, n, s) * pol.tau[s, n] for s in range(1 << n_queues))
             for n in range(n_queues)
         ]
         a = [0.9 * c for c in caps]
@@ -406,3 +413,111 @@ def test_exact_policy_search_never_trails_the_grid():
         assert policy.tau[0b11].sum() == pytest.approx(1.0)
         assert policy.tau[0b01].tolist() == [1.0, 0.0]
         assert policy.tau[0b10].tolist() == [0.0, 1.0]
+
+
+# ----- one product table: the contraction against the per-state loop -----
+
+
+def _random_region_instance(rng):
+    """N = 1-6 queues with sure-ON, sure-OFF and zero-rate flows, absorbing
+    queues, and grant rows summing to less than 1."""
+    n_queues = int(rng.integers(1, 7))
+    rows, lams = [], []
+    for _ in range(n_queues):
+        k = int(rng.integers(1, 4))
+        p_off = rng.choice([0.0, 1.0, -1.0], size=k, p=[0.15, 0.1, 0.75])
+        rows.append(np.where(p_off < 0, rng.uniform(0.0, 0.95, k), p_off).tolist())
+        lams.append((rng.uniform(0.0, 0.3, k) * (rng.random(k) > 0.2)).tolist())
+    states = 1 << n_queues
+    tau = rng.dirichlet(np.ones(n_queues + 1), size=states)[:, :n_queues]
+    tau *= rng.uniform(0.5, 1.0, (states, 1))
+    return make_cfg(rows), lams, SchedulingPolicy(tau)
+
+
+def test_service_region_equals_the_per_state_loop():
+    rng = np.random.default_rng(97)
+    infinite = 0
+    for _ in range(300):
+        cfg, lams, pol = _random_region_instance(rng)
+        got = check_service_region(cfg, lams, pol).slacks
+        want = service_region_reference(cfg, lams, pol)
+        assert list(got) == list(want)
+        for key, v in want.items():
+            if math.isfinite(v):
+                assert abs(got[key] - v) <= 1e-12, (key, got[key], v)
+            else:
+                infinite += 1
+                assert got[key] == v
+    assert infinite > 0
+
+
+# ----- exact region under the best scheduler: the subset test -----
+
+
+def test_stability_region_single_queue_is_the_load_condition():
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        k = int(rng.integers(1, 5))
+        p_off = rng.uniform(0.0, 0.9, size=k).tolist()
+        lam = rng.uniform(0.0, 0.4, size=k).tolist()
+        region = check_stability_region(single_queue_cfg(p_off), [lam])
+        assert list(region.slacks) == ["subset[1]"]
+        assert region.feasible == single_queue_margin(lam, p_off).feasible
+
+
+def test_stability_region_absorbing_queue_is_minus_infinity():
+    cfg = make_cfg([[0.2], [1.0, 0.1], [0.3]])
+    slacks = check_stability_region(cfg, [[0.1], [0.05, 0.1], [0.1]]).slacks
+    for a in range(1, 8):
+        assert (slacks[f"subset[{a}]"] == -math.inf) == bool(a & 0b010)
+    # a dead flow without traffic is only a zero-rate flow
+    assert check_stability_region(cfg, [[0.1], [0.0, 0.1], [0.1]]).feasible
+
+
+def test_stability_region_agrees_with_the_two_queue_search():
+    rng = np.random.default_rng(53)
+    verdicts = set()
+    for _ in range(400):
+        cfg, lams = _random_two_queue_instance(rng)
+        _, best = best_policy_search(cfg, lams)
+        subset = check_stability_region(cfg, lams)
+        assert subset.feasible == best.feasible, (cfg.to_dict(), lams)
+        assert (subset.min_slack == -math.inf) == (best.min_slack == -math.inf)
+        verdicts.add(best.feasible)
+    assert verdicts == {True, False}
+
+
+# Three-queue verdicts from a linear program over every grant table (scipy's
+# HiGHS, maximizing min_n r_n - D_n over tau), computed once and pinned here;
+# every LP margin is at least 4e-3 from zero. The uniform split among
+# serviceable queues fails 8 of the 12 feasible ones.
+THREE_QUEUE_LP_VERDICTS = [
+    ([[0.22, 0.03], [0.73, 0.49], [0.65, 0.0]],
+     [[0.004, 0.203], [0.182, 0.136], [0.214, 0.008]], True),
+    ([[0.58, 0.14], [0.34], [0.1]], [[0.216, 0.135], [0.007], [0.168]], True),
+    ([[0.71], [0.46, 0.26], [0.31]], [[0.234], [0.149, 0.084], [0.223]], True),
+    ([[0.24, 0.54], [0.29, 0.08], [0.76]], [[0.05, 0.236], [0.157, 0.232], [0.125]], True),
+    ([[0.34], [0.76], [0.61, 0.4]], [[0.155], [0.115], [0.132, 0.196]], True),
+    ([[0.59], [0.75], [0.74]], [[0.178], [0.029], [0.242]], True),
+    ([[0.5], [0.67], [0.7]], [[0.021], [0.197], [0.015]], True),
+    ([[0.75, 0.73], [0.65], [0.0, 0.0]], [[0.0, 0.243], [0.154], [0.104, 0.284]], True),
+    ([[0.0], [0.65, 0.0], [0.0, 0.76]], [[0.185], [0.2, 0.015], [0.0, 0.095]], True),
+    ([[1.0, 0.3], [0.2], [0.5]], [[0.0, 0.3], [0.25], [0.1]], True),
+    ([[0.2], [0.2], [0.2]], [[0.3], [0.3], [0.0]], True),
+    ([[0.5], [0.5], [0.5]], [[0.25], [0.25], [0.25]], True),
+    ([[0.5], [0.5], [0.5]], [[0.3], [0.3], [0.3]], False),
+    ([[0.6, 0.46], [0.13, 0.5], [0.0]], [[0.241, 0.165], [0.163, 0.22], [0.032]], False),
+    ([[0.53, 0.53], [0.41, 0.01], [0.0, 0.24]],
+     [[0.171, 0.286], [0.126, 0.255], [0.278, 0.084]], False),
+    ([[0.49, 0.31], [0.55, 0.52], [0.58, 0.42]],
+     [[0.249, 0.245], [0.172, 0.097], [0.078, 0.121]], False),
+    ([[0.01, 0.69], [0.78], [0.66]], [[0.245, 0.239], [0.222], [0.12]], False),
+    ([[0.37], [0.07, 0.46], [0.39, 0.79]], [[0.127], [0.049, 0.202], [0.046, 0.241]], False),
+    ([[0.34, 0.78], [0.73, 0.38], [0.24, 0.61]],
+     [[0.243, 0.126], [0.216, 0.175], [0.143, 0.023]], False),
+]
+
+
+@pytest.mark.parametrize("rows, lams, feasible", THREE_QUEUE_LP_VERDICTS)
+def test_stability_region_matches_the_pinned_lp_verdicts(rows, lams, feasible):
+    assert check_stability_region(make_cfg(rows), lams).feasible == feasible
