@@ -306,11 +306,6 @@ class SchedulingPolicy:
         return int(self.tau.shape[1])
 
     @classmethod
-    def uniform(cls, n_queues: int) -> "SchedulingPolicy":
-        tau = np.full((1 << n_queues, n_queues), 1.0 / n_queues)
-        return cls(tau)
-
-    @classmethod
     def uniform_over_on(cls, n_queues: int) -> "SchedulingPolicy":
         """Split the slot evenly among queues whose channel is ON."""
         tau = np.zeros((1 << n_queues, n_queues))

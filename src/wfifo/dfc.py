@@ -97,15 +97,6 @@ def _scales_and_gradient(
     return a, ((w / a)[:, None] * c).T
 
 
-def objective_and_gradient(
-    cfg: NetworkConfig, tau: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Reduced objective F(tau) and its gradient, for a (2**N, N) grant table."""
-    w = _weights(cfg)
-    a, g = _scales_and_gradient(inner_coefficients(cfg), w, tau)
-    return float(np.dot(w, np.log(a))) + _objective_const(cfg), g
-
-
 def solve_dfc(
     cfg: NetworkConfig,
     tol: float = 1e-6,

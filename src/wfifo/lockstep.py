@@ -11,9 +11,13 @@ run:
 3. admit by each policy's closed form on the start-of-slot backlogs, in the
    same float operations as the policy class, and take the fluid step
    v = frac + rate, count = floor(v), frac = v - count;
-4. append the new packets, flows in index order, each repeated by its
-   count, then interleave each queue's same-slot batch as `sim.run` does;
+4. log the counts, and add them to the backlogs;
 5. serve the granted heads of line.
+
+Once per window of slots, which lasts as long as the smallest backlog among
+queues that can admit (1 to `_WINDOW` slots) and ends at each channel piece
+and at warmup, the log is written to the FIFOs: flows in index order, each
+repeated by its count, each queue's same-slot batch interleaved as in `run`.
 
 Each run reads its own streams as `sim.run` does: "channels" in (1024, F)
 pieces, which are the rows of its (4096, F) blocks in order, and "arrivals"
@@ -34,6 +38,7 @@ from .policies import MaxWeightPolicy, Policy, QfcPolicy, build_policy
 from .sim import RunSpec, TraceMetrics, _metrics, _stream, check_poisson_rates
 
 _PIECE = 1024  # slots per channel draw and state tally
+_WINDOW = 32  # most slots whose arrivals are written to the FIFOs at once
 
 
 def _lockstep_policy(spec: RunSpec, horizon: int, warmup: int) -> Policy:
@@ -68,7 +73,7 @@ def run_batch(specs: Sequence[RunSpec]) -> list[TraceMetrics]:
     channel column that is always OFF, so an empty queue reads as blocked
     without a backlog test. Before a tail can pass the end of its row, the
     rows are compacted to their live entries, and the capacity doubles
-    until it holds twice the largest backlog plus one slot's most arrivals.
+    until it holds twice the largest backlog plus a window's most arrivals.
     """
     if not specs:
         return []
@@ -100,10 +105,11 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
 
     # admission of flow k in row i: fmin(r_max, num / backlog) * pb, where
     # backlog is the queue's (qfc) or the flow's own (max-weight); a zero
-    # backlog gives num / 0 = inf, and fmin maps inf (and 0 / 0) to r_max
-    num = np.ones((n_rows, nk))
-    pb = np.zeros((n_rows, nk))
-    r_max = np.ones((n_rows, nk))
+    # backlog gives num / 0 = inf, and fmin maps inf (and 0 / 0) to r_max.
+    # Per-flow tables have a column for the sentinel too, which never admits
+    num = np.ones((n_rows, width))
+    pb = np.zeros((n_rows, width))
+    r_max = np.ones((n_rows, width))
     by_queue = np.zeros((n_rows, 1), dtype=bool)
     sched_w = np.zeros(n_rows)
     on_cols, p_off, ub = [], [], 1
@@ -129,12 +135,16 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
     swap_u = [g.random for g in rng_ar]
     shuffle = [g.shuffle for g in rng_ar]
 
-    frac = np.zeros((n_rows, nk))
-    qf = np.zeros((n_rows, nk), dtype=np.int64)  # per-flow backlog
-    adm = np.zeros((n_rows, nk), dtype=np.int64)  # admitted packets
-    adm_w = qf_w = adm  # snapshot at the start of slot `warmup`
-    qf_flat = qf.reshape(-1)
-    flow_ids = np.tile(np.arange(nk, dtype=np.min_scalar_type(-width)), n_rows)
+    # float64 backlogs (exact integers), so admission divides without a cast;
+    # q is each queue's start-of-slot backlog, counting packets not yet written
+    frac = np.zeros((n_rows, width))
+    v = np.zeros((n_rows, width))
+    qf = np.zeros((n_rows, width))  # per-flow backlog
+    qf_flat = qf.reshape(-1)  # indexed by a row's flat HOL column, as `on` is
+    q = np.zeros(n_rows)
+    cnt_log = np.zeros((_WINDOW, n_rows, width))  # a window's admitted counts
+    live = (r_max * pb > 0.0).any(1)  # rows whose flows can admit
+    flow_ids = np.tile(np.arange(width, dtype=np.min_scalar_type(-width)), _WINDOW * n_rows)
     sentinel = nk
     cap = 64
     while cap < 2 * (ub + 1):
@@ -143,6 +153,11 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
     head = np.arange(n_rows, dtype=np.int64) * cap  # flat index of each HOL
     tail = head.copy()  # flat index of each row's next free entry
     tail_hi = 0  # bound on the largest tail offset within a row
+    # served packets, per (row, flow): those whose entries compaction dropped,
+    # plus each row's entries from `begin` to its head
+    gone, begin = 0, head.copy()
+    qf_w = served_w = None  # snapshot at the start of slot `warmup`
+    hol_at = np.zeros(n_rows, dtype=np.int64)  # flat column of each HOL
     hol_base = np.arange(n_rows, dtype=np.int64) * width
     run_base = np.arange(n_runs, dtype=np.int64) * nq
 
@@ -156,7 +171,8 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
     # (4096, F) blocks in order, at a quarter of the memory
     on = np.zeros((_PIECE, n_rows * width), dtype=bool)
     sv_blk = np.zeros((_PIECE, n_rows), dtype=bool)  # serviceable rows
-    sq_blk = np.zeros((_PIECE, n_rows), dtype=bool)  # granted rows
+    # granted rows; a run's one queue is granted whenever it is serviceable
+    sq_blk = sv_blk if nq == 1 else np.zeros((_PIECE, n_rows), dtype=bool)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for b0 in range(0, horizon, _PIECE):
@@ -164,72 +180,90 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
             for r in range(n_runs):
                 on[:size, on_cols[r]] = rng_ch[r].random((size, p_off[r].size)) >= p_off[r]
             sq_blk[:size] = False
-            for t in range(size):
-                if b0 + t == warmup:
-                    adm_w, qf_w = adm.copy(), qf.copy()
-                if tail_hi + ub >= cap:
+            t0 = 0
+            while t0 < size:
+                # a window of wl slots: each FIFO holds all its packets at the
+                # start, and a row with m >= 1 of them serves at most one a slot,
+                # so its HOL is a written packet for m slots (an empty one, 1)
+                if b0 + t0 == warmup:
+                    qf_w, served_w = qf.astype(np.int64), gone + _tally(fifo, begin, head, width)
+                wl = min(max(int(q.min(initial=_WINDOW, where=live)), 1), _WINDOW, size - t0)
+                if b0 + t0 < warmup < b0 + t0 + wl:
+                    wl = warmup - b0 - t0
+                if tail_hi + wl * ub >= cap:
                     tail_hi = int((tail - np.arange(n_rows) * cap).max())
-                    if tail_hi + ub >= cap:
-                        fifo, head, tail, cap = _compact(fifo, head, tail, cap, ub, sentinel)
+                    if tail_hi + wl * ub >= cap:
+                        gone = gone + _tally(fifo, begin, head, width)
+                        fifo, head, tail, cap = _compact(fifo, head, tail, cap,
+                                                         _WINDOW * ub, sentinel)
+                        begin = head.copy()
                         tail_hi = int((tail - head).max())
-                tail_hi += ub
+                tail_hi += wl * ub
 
-                # HOL channels and the grant, on start-of-slot backlogs
-                q = tail - head
-                hol = fifo[head]
-                sv = on[t][hol_base + hol]
-                sv_blk[t] = sv
-                if nq == 1:
-                    srv = np.flatnonzero(sv)
-                else:
-                    g = np.where(sv, q * sched_w, -1.0).reshape(n_runs, nq).argmax(1)
-                    g += run_base
-                    srv = g[sv[g]]
-                sq_blk[t, srv] = True
+                for t in range(t0, t0 + wl):
+                    # HOL channels and the grant, on start-of-slot backlogs
+                    np.add(hol_base, fifo[head], out=hol_at)
+                    sv, sq = sv_blk[t], sq_blk[t]
+                    on[t].take(hol_at, out=sv, mode="clip")  # in range: no bounds buffer
+                    if nq > 1:
+                        g = np.where(sv, q * sched_w, -1.0).reshape(n_runs, nq).argmax(1)
+                        g += run_base
+                        sq[g] = sv[g]
 
-                # admission and the fluid step
-                if all_qfc:
-                    seen = q[:, None]
-                elif any_qfc:
-                    seen = np.where(by_queue, q[:, None], qf)
-                else:
-                    seen = qf
-                v = frac + np.fmin(r_max, num / seen) * pb
-                cnt = v.astype(np.int64)
-                np.subtract(v, cnt, out=frac)
-                arr = cnt.sum(1)
-
-                # arrivals: flows in index order, each repeated by its count,
-                # then same-slot batches interleaved per run
-                ids = np.repeat(flow_ids, cnt.reshape(-1))
-                if ids.size:
-                    end = np.cumsum(arr)
-                    multi = np.flatnonzero(arr >= 2)
-                    if multi.size:
-                        ids = ids.tolist()
-                        for i, e, k in zip(multi.tolist(), end[multi].tolist(),
-                                           arr[multi].tolist()):
-                            a = e - k
-                            if k == 2:
-                                if swap_u[i // nq]() < 0.5:
-                                    ids[a], ids[a + 1] = ids[a + 1], ids[a]
-                            else:
-                                batch = ids[a:e]
-                                shuffle[i // nq](batch)
-                                ids[a:e] = batch
-                    pos = np.repeat(tail - end + arr, arr)
-                    pos += np.arange(pos.size)
-                    fifo[pos] = ids
-                    tail += arr
+                    # admission and the fluid step, counts logged for the window
+                    if all_qfc:
+                        seen = q[:, None]
+                    elif any_qfc:
+                        seen = np.where(by_queue, q[:, None], qf)
+                    else:
+                        seen = qf
+                    np.divide(num, seen, out=v)
+                    np.fmin(r_max, v, out=v)
+                    np.multiply(v, pb, out=v)
+                    np.add(frac, v, out=v)
+                    cnt = cnt_log[t - t0]
+                    np.floor(v, out=cnt)
+                    np.subtract(v, cnt, out=frac)
                     qf += cnt
-                    adm += cnt
 
-                # serve the granted HOL packets
-                if srv.size:
-                    head[srv] += 1
-                    qf_flat[srv * nk + hol[srv]] -= 1
+                    # serve the granted HOL packets
+                    head += sq
+                    qf_flat[hol_at] -= sq
+                    np.add.reduce(qf, 1, out=q)
 
-            w = min(max(warmup - b0, 0), size)  # first slot in the window
+                # write the window's arrivals: per row, slot by slot, flows in
+                # index order, each repeated by its count; then interleave each
+                # (slot, row) batch, per run in slot then queue order
+                t0 += wl
+                cnt_w = cnt_log[:wl].astype(np.int64)
+                ids = np.repeat(flow_ids[:cnt_w.size], cnt_w.reshape(-1))
+                if not ids.size:
+                    continue
+                arr_w = np.add.reduce(cnt_w, 2)
+                arr_f = arr_w.reshape(-1)
+                end = np.add.accumulate(arr_f)
+                multi = (arr_f > 1).nonzero()[0]
+                if multi.size:
+                    ids = ids.tolist()
+                    for i, e, k in zip(multi.tolist(), end[multi].tolist(),
+                                       arr_f[multi].tolist()):
+                        a, run = e - k, i % n_rows // nq
+                        if k == 2:
+                            if swap_u[run]() < 0.5:
+                                ids[a], ids[a + 1] = ids[a + 1], ids[a]
+                        else:
+                            batch = ids[a:e]
+                            shuffle[run](batch)
+                            ids[a:e] = batch
+                # entry e of the flat order goes to tail + acc - end + e: acc and
+                # end are the inclusive arrival sums per row and in flat order
+                acc = np.add.accumulate(arr_w, 0)
+                pos = np.repeat((acc + tail).reshape(-1) - end, arr_f)
+                pos += np.arange(pos.size)
+                fifo[pos] = ids
+                tail += acc[-1]
+
+            w = min(max(warmup - b0, 0), size)  # first slot after warmup
             if w < size:
                 key = sv_blk[w:size].reshape(-1, n_runs, nq) @ pow2
                 key += state_off
@@ -238,7 +272,8 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
                 for n in range(nq):
                     serves[n] += np.bincount(key[granted[..., n]], minlength=visits.size)
 
-    served, served_w = adm - qf, adm_w - qf_w
+    served = gone + _tally(fifo, begin, head, width)
+    adm, adm_w = served + qf.astype(np.int64), served_w + qf_w
     visits = visits.reshape(n_runs, n_states)
     serves = serves.reshape(nq, n_runs, n_states)
 
@@ -253,6 +288,12 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
                  serves[:spec.cfg.n_queues, r, :1 << spec.cfg.n_queues].T.copy(), {})
         for r, (spec, pol) in enumerate(zip(specs, pols))
     ]
+
+
+def _tally(fifo: np.ndarray, lo: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:
+    """Per (row, flow id) counts of each row's FIFO entries lo[i]:hi[i]."""
+    return np.array([np.bincount(fifo[a:b], minlength=width)
+                     for a, b in zip(lo.tolist(), hi.tolist())])
 
 
 def _compact(fifo: np.ndarray, head: np.ndarray, tail: np.ndarray, cap: int,

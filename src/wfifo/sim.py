@@ -435,6 +435,8 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
     # StaticPolicy.schedule sums each grant row left to right, as cumsum does
     cum = np.cumsum(np.asarray(policy.tau, dtype=float), axis=1)
     cum_rows: dict[int, list[float]] = {}
+    # a slot's channels as one integer, flow f's in bit f (Python ints past 62)
+    flow_bits = np.array([1 << f for f in range(n_flows)], np.int64 if n_flows < 63 else object)
 
     rng_ch = _stream(spec.seed, "channels")
     rng_ar = _stream(spec.seed, "arrivals")
@@ -455,16 +457,16 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
 
     for b0 in range(0, horizon, _BLOCK):
         size = min(_BLOCK, horizon - b0)
-        on_rows = (rng_ch.random((_BLOCK, n_flows))[:size] >= p_off).tolist()
+        on_rows = ((rng_ch.random((_BLOCK, n_flows))[:size] >= p_off) @ flow_bits).tolist()
         u_sched = rng_sc.random(_BLOCK)[:size].tolist()
         counts = np.zeros((size, n_flows), dtype=np.int64)
         if fluid:
             for f in live:
                 counts[:, f], frac[f] = _fluid_counts(rates[f], frac[f], size)
         else:
-            u_arr = rng_ar.random((_BLOCK, n_flows))
+            u_arr = rng_ar.random((_BLOCK, n_flows)).T.copy()  # flow f's in row f
             for f in live:
-                counts[:, f] = np.searchsorted(cdfs[f], u_arr[:size, f], side="right")
+                counts[:, f] = np.searchsorted(cdfs[f], u_arr[f, :size], side="right")
         arrived = np.add.reduceat(counts, bounds[:-1], axis=1)  # (size, N)
         firsts = np.cumsum(arrived, axis=0) - arrived  # slot t's first arrival
         # per queue: slot-major, flows in index order within a slot
@@ -486,7 +488,7 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
             s = 0
             for n in qs:
                 h = heads[n]
-                if h < avail[n][t] and row[seq_q[n][h]]:
+                if h < avail[n][t] and row >> seq_q[n][h] & 1:
                     s |= 1 << n
             if s:
                 states[t] = s

@@ -6,7 +6,7 @@ import numpy as np
 
 from wfifo import FlowSpec, NetworkConfig, QueueSpec, SchedulingPolicy
 from wfifo.core import OFF, ON, state_bit
-from wfifo.dfc import LOG_FLOOR, _objective_const, _weights, solve_dfc
+from wfifo.dfc import LOG_FLOOR, _objective_const, _scales_and_gradient, _weights, solve_dfc
 from wfifo.markov import state_marginal
 from wfifo.sim import _BLOCK, SaturatedMetrics, _stream
 from wfifo.stability import inner_coefficients
@@ -26,6 +26,19 @@ def make_cfg(p_off_rows, lambdas=None, beta=1.0, M=1000.0, r_max=2.0):
 
 def single_queue_cfg(p_off, lambdas=None, **kw):
     return make_cfg([list(p_off)], None if lambdas is None else [list(lambdas)], **kw)
+
+
+def uniform_policy(n_queues: int) -> SchedulingPolicy:
+    """Grant every queue 1/N of every state, OFF queues included."""
+    return SchedulingPolicy(np.full((1 << n_queues, n_queues), 1.0 / n_queues))
+
+
+def objective_and_gradient(cfg: NetworkConfig, tau: np.ndarray) -> tuple[float, np.ndarray]:
+    """The planner's reduced objective F(tau) and its own gradient, for a
+    (2**N, N) grant table."""
+    w = _weights(cfg)
+    a, g = _scales_and_gradient(inner_coefficients(cfg), w, tau)
+    return float(np.dot(w, np.log(a))) + _objective_const(cfg), g
 
 
 # ----- reference per-state region check -----

@@ -18,10 +18,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import dfc_gap_vs_oracle, make_cfg, single_queue_cfg
+from helpers import dfc_gap_vs_oracle, make_cfg, objective_and_gradient, single_queue_cfg
 from wfifo import RunSpec, SchedulingPolicy, run
 from wfifo.cli import _fig6
-from wfifo.dfc import objective_and_gradient, solve_dfc
+from wfifo.dfc import solve_dfc
 from wfifo.markov import joint_state_hol_prob, single_queue_steady_state
 from wfifo.policies import Policy, StaticPolicy, serve_if_on_policy
 from wfifo.sim import detect_stability, run_saturated

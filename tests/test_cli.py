@@ -507,9 +507,13 @@ def test_run_cells_routes_fluid_closed_loop_cells_through_run_batch(capsys):
                         for j, cfg in enumerate(cfgs)]
                 assert got[p][i] == [(lockstep,) + w[1:] for w in want]
     # too few lockstep cells to pay for a batch: one run() each
-    few = run_cells(points[:1], ["qfc", "maxweight"], horizon=100, seeds=3,
+    few = run_cells(points[:1], ["qfc"], horizon=100, seeds=3,
                     master_seed=0, keep=lambda m: m.q_trace is None)
-    assert 2 * 3 < LOCKSTEP_MIN_RUNS and few == {"qfc": [[False] * 3], "maxweight": [[False] * 3]}
+    assert 3 < LOCKSTEP_MIN_RUNS and few == {"qfc": [[False] * 3]}
+    # as many as LOCKSTEP_MIN_RUNS: one batch
+    enough = run_cells(points[:1], ["qfc", "maxweight"], horizon=100, seeds=2,
+                       master_seed=0, keep=lambda m: m.q_trace is None)
+    assert 2 * 2 == LOCKSTEP_MIN_RUNS and enough == {"qfc": [[True] * 2], "maxweight": [[True] * 2]}
 
 
 def test_qfc_total_rate_grows_with_beta():

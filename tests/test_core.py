@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_cfg
+from helpers import make_cfg, uniform_policy
 from wfifo import (
     ConfigError,
     FlowSpec,
@@ -209,7 +209,7 @@ def test_config_rejects_more_queues_than_the_state_cap():
 
 
 def test_uniform_policy_rows():
-    pol = SchedulingPolicy.uniform(2)
+    pol = uniform_policy(2)
     assert pol.n_queues == 2
     assert pol.tau[3, 0] == pytest.approx(0.5)
     assert np.allclose(pol.tau.sum(axis=1), 1.0)

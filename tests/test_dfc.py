@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dfc_gap_vs_oracle, make_cfg, single_queue_cfg
+from helpers import dfc_gap_vs_oracle, make_cfg, objective_and_gradient, single_queue_cfg
 from wfifo import SchedulingPolicy, check_inner_bound, solve_dfc
-from wfifo.dfc import _weights, objective_and_gradient
+from wfifo.dfc import _weights
 from wfifo.stability import inner_coefficients
 
 # ----- solver on instances with known optima -----

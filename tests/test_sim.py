@@ -366,6 +366,23 @@ def test_open_loop_block_path_equals_per_slot_loop(mode, horizon):
         assert multi > 0  # the shuffle draws were exercised
 
 
+@pytest.mark.parametrize("mode", ["fluid", "stochastic"])
+def test_open_loop_block_path_reads_channels_of_more_flows_than_an_int64_holds(mode):
+    # the block path reads a slot's channels as one integer, bit f for flow
+    # f; 70 flows over two queues need bits 62 to 69 too
+    rng = np.random.default_rng(70)
+    rows = [rng.uniform(0.0, 0.6, 40).tolist(), rng.uniform(0.0, 0.6, 30).tolist()]
+    cfg = make_cfg(rows)
+    rates = [[0.01 * (k % 3) for k in range(len(row))] for row in rows]
+    tau = np.full((4, 2), 0.5)
+    pol = StaticPolicy(cfg, rates, tau)
+    spec = RunSpec(cfg=cfg, policy=pol, horizon=3000, seed=7, warmup=100,
+                   arrival_mode=mode, record_trace=True)
+    fast = run(spec)
+    _assert_same_metrics(fast, run(dataclasses.replace(spec, policy=_Delegate(pol))))
+    assert fast.served_packets[1][29] > 0  # flow 69 got through
+
+
 @pytest.mark.parametrize("name", ["static", "dfc-static"])
 def test_named_open_loop_policies_take_the_block_path(name):
     cfg = make_cfg([[0.2, 0.5], [0.3]], lambdas=[[0.2, 0.1], [0.3]])
@@ -420,6 +437,43 @@ def test_run_batch_equals_run(horizon, third):
         # the dead-flow max-weight backlog outgrew the FIFO's first capacity
         # (64 entries for this batch) several doublings over
         assert run(specs[1]).q_trace.max() > 1024
+
+
+# A batch whose arrivals are written in wide windows on most slots: large M
+# and r_max lift every backlog past 32 within tens of slots. Run 1 is the
+# dead-flow max-weight run, whose FIFO is compacted while windows are wide.
+# Run 3's one flow is always ON and has M = 0.5: each time its queue is
+# empty it admits r_max = 100 packets at once, then drains to empty again
+# over about 100 slots, so the batch keeps falling back to one-slot windows.
+_WIDE_CASES = [
+    ([[0.1, 0.3, 0.2]], "qfc", 1000.0, 3.5, 1.0),
+    ([[0.0, 1.0, 0.3], [0.2], [0.4, 0.1]], "maxweight", 1000.0, 3.5, 1.0),
+    ([[0.2, 0.4], [0.1, 0.3]], "qfc", 2000.0, 3.5, 1.0),
+    ([[0.0]], "qfc", 0.5, 100.0, 1.0),
+    ([[0.3, 0.5, 0.1], [0.2, 0.6]], "maxweight", 500.0, 5.0, 1.0),
+    ([[0.1, 0.2, 0.3, 0.4]], "maxweight", 3000.0, 2.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("horizon", [1030, 4100])
+def test_run_batch_equals_run_in_wide_windows(horizon, monkeypatch):
+    specs = [RunSpec(cfg=make_cfg(rows, M=M, r_max=r_max, beta=beta), policy=pol,
+                     horizon=horizon, warmup=517, seed=90 + 11 * i)
+             for i, (rows, pol, M, r_max, beta) in enumerate(_WIDE_CASES)]
+    batch = run_batch(specs)
+    refs = [run(spec) for spec in specs]
+    for got, ref in zip(batch, refs):
+        assert got.q_trace is None
+        _assert_same_metrics(dataclasses.replace(got, q_trace=ref.q_trace), ref)
+    # a window lasts as many slots as the smallest backlog, up to 32
+    q = np.column_stack([ref.q_trace for ref in refs])
+    assert (q.min(1) >= 32).mean() > 0.6
+    assert (q[:, 6] == 0).sum() >= horizon // 110  # run 3 empties again and again
+    assert q[:, 1].max() > 1024  # the dead-flow run outgrew several capacities
+    # one-slot windows write the same FIFOs
+    monkeypatch.setattr(lockstep, "_WINDOW", 1)
+    for got, want in zip(run_batch(specs), batch):
+        _assert_same_metrics(got, want)
 
 
 def test_run_batch_runs_a_batch_too_large_for_its_state_counters_in_parts(monkeypatch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_cfg, service_region_reference, single_queue_cfg
+from helpers import make_cfg, service_region_reference, single_queue_cfg, uniform_policy
 from wfifo import (
     SchedulingPolicy,
     best_policy_search,
@@ -104,7 +104,7 @@ def test_two_queue_three_flow_instance():
 
 def test_all_zero_rates_feasible():
     cfg = make_cfg([[0.6, 0.1], [0.7]])
-    margin = check_service_region(cfg, [[0.0, 0.0], [0.0]], SchedulingPolicy.uniform(2))
+    margin = check_service_region(cfg, [[0.0, 0.0], [0.0]], uniform_policy(2))
     assert margin.feasible
     assert all(v == 0.0 for k, v in margin.slacks.items() if k.startswith("rate"))
 
@@ -337,7 +337,7 @@ def test_best_policy_search_beats_fixed_policies():
         lams = [rng.uniform(0.01, 0.3, size=2).tolist(), [float(rng.uniform(0.01, 0.3))]]
         cfg = make_cfg(rows)
         _, best = best_policy_search(cfg, lams)
-        for fixed in (SchedulingPolicy.uniform(2), SchedulingPolicy.uniform_over_on(2)):
+        for fixed in (uniform_policy(2), SchedulingPolicy.uniform_over_on(2)):
             fixed_margin = check_service_region(cfg, lams, fixed)
             assert worst_rate_slack(best) >= worst_rate_slack(fixed_margin) - 1e-9
 
