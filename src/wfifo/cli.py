@@ -416,6 +416,8 @@ def _plan_int(key: str, value: Any) -> int:
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not integral:
         raise ConfigError(f"plan: {key}: must be an integer, got {value!r}")
+    if value > sys.maxsize:  # no list or array can be that long
+        raise ConfigError(f"plan: {key}: must be at most {sys.maxsize}, got {value!r}")
     return int(value)
 
 
@@ -724,6 +726,8 @@ FIGURES["fig6"] = _fig6
 def cmd_reproduce(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds: must be >= 1, got {args.seeds}")
+    if args.seeds > sys.maxsize:  # no list or array can be that long
+        raise ConfigError(f"--seeds: must be at most {sys.maxsize}, got {args.seeds}")
     _check_budget(args.horizon, None, 1, "--")
     out = str(Path(args.out) / f"{args.figure}.csv")
     with _open_out(out) as fh:
@@ -800,4 +804,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a list of 2**61 runs
+        print(f"error: too large for this machine: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 1

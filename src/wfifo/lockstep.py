@@ -17,15 +17,13 @@ run:
 Once per window of slots, which lasts as long as the smallest backlog among
 queues that can admit (1 to `_WINDOW` slots) and ends at each channel piece
 and at warmup, the log is written to the FIFOs: flows in index order, each
-repeated by its count, each queue's same-slot batch interleaved as in `run`.
+repeated by its count, and every same-slot batch of the window, of every
+run, ordered by its interleave keys in one `sim._order_batches` call.
 
-Each run reads its own streams as `sim.run` does: "channels" in (1024, F)
-pieces, which are the rows of its (4096, F) blocks in order, and "arrivals"
-only for the interleave draws, one Python call per queue with two or more
-arrivals, in slot then queue order (a `random()` swap for two packets, a
-`shuffle` for more). "scheduling" is never read: the qfc and max-weight
-grants draw nothing, and the streams are independent. State visits and
-grants are tallied per 1,024-slot piece.
+Each run reads "channels" as `sim.run` does, in (1024, F) pieces, which are
+the rows of its (4096, F) blocks in order, and opens no other stream: fluid
+runs draw no counts, and the grants draw nothing. State visits and grants
+are tallied per piece.
 """
 
 from __future__ import annotations
@@ -35,7 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from .policies import MaxWeightPolicy, Policy, QfcPolicy, build_policy
-from .sim import RunSpec, TraceMetrics, _metrics, _stream, check_poisson_rates
+from .sim import (RunSpec, TraceMetrics, _interleave_word, _metrics, _order_batches,
+                  _stream, check_poisson_rates)
 
 _PIECE = 1024  # slots per channel draw and state tally
 _WINDOW = 32  # most slots whose arrivals are written to the FIFOs at once
@@ -131,9 +130,8 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
     all_qfc, any_qfc = bool(by_queue.all()), bool(by_queue.any())
 
     rng_ch = [_stream(spec.seed, "channels") for spec in specs]
-    rng_ar = [_stream(spec.seed, "arrivals") for spec in specs]
-    swap_u = [g.random for g in rng_ar]
-    shuffle = [g.shuffle for g in rng_ar]
+    row_word = np.array([_interleave_word(spec.seed) for spec in specs], np.uint64).repeat(nq)
+    row_queue = np.tile(np.arange(nq, dtype=np.uint64), n_runs)
 
     # float64 backlogs (exact integers), so admission divides without a cast;
     # q is each queue's start-of-slot backlog, counting packets not yet written
@@ -231,9 +229,9 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
                     qf_flat[hol_at] -= sq
                     np.add.reduce(qf, 1, out=q)
 
-                # write the window's arrivals: per row, slot by slot, flows in
+                # write the window's arrivals: slot-major, then row, flows in
                 # index order, each repeated by its count; then interleave each
-                # (slot, row) batch, per run in slot then queue order
+                # (slot, row) batch
                 t0 += wl
                 cnt_w = cnt_log[:wl].astype(np.int64)
                 ids = np.repeat(flow_ids[:cnt_w.size], cnt_w.reshape(-1))
@@ -241,20 +239,8 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
                     continue
                 arr_w = np.add.reduce(cnt_w, 2)
                 arr_f = arr_w.reshape(-1)
+                _order_batches(ids, arr_f, b0 + t0 - wl, row_word, row_queue)
                 end = np.add.accumulate(arr_f)
-                multi = (arr_f > 1).nonzero()[0]
-                if multi.size:
-                    ids = ids.tolist()
-                    for i, e, k in zip(multi.tolist(), end[multi].tolist(),
-                                       arr_f[multi].tolist()):
-                        a, run = e - k, i % n_rows // nq
-                        if k == 2:
-                            if swap_u[run]() < 0.5:
-                                ids[a], ids[a + 1] = ids[a + 1], ids[a]
-                        else:
-                            batch = ids[a:e]
-                            shuffle[run](batch)
-                            ids[a:e] = batch
                 # entry e of the flat order goes to tail + acc - end + e: acc and
                 # end are the inclusive arrival sums per row and in flat order
                 acc = np.add.accumulate(arr_w, 0)

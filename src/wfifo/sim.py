@@ -19,18 +19,23 @@ Admission and the grant both see start-of-slot backlogs, and a packet
 arriving into an empty queue is not serviceable until the next slot, so the
 recorded backlog obeys Q(t+1) = Q(t) - served(t) + arrived(t) exactly.
 
-Three independent RNG streams are derived by hashing the master seed with a
-stream name. Two runs differing only in policy therefore see identical
-channel draws. Each stream is read in blocks of 4,096 slots:
+RNG streams are derived by hashing the master seed with a stream name, so
+two runs differing only in policy see identical channel draws. Each stream
+is read in blocks of 4,096 slots:
 
 * "channels": one (4096, F) uniform block per block of slots, F the number
   of flows; flow f is ON in slot t when U[t, f] >= p_off (step 1);
 * "scheduling": one 4,096-uniform block, the grant draw of each slot (5);
-* "arrivals": in stochastic mode one (4096, F) uniform block, flow f's
-  count in slot t inverting U[t, f] (step 3), then in slot and queue order
-  the interleave draws of step 4: one `random()` for a 2-packet batch (swap
-  below 0.5), a `shuffle` for a larger one. Fluid mode draws only the
-  interleaves.
+* "arrivals": in stochastic mode only, one (4096, F) uniform block, flow
+  f's count in slot t inverting U[t, f] (step 3).
+
+The interleave of step 4 reads no stream: the batch queue n takes in slot
+t, flows in index order each repeated by its count, is ordered by the keys
+mix(mix(mix(w ^ t) ^ n) ^ j) of its packets j (ties, which the bijective
+mix rules out, by position), with mix SplitMix64's finalizer and w the low
+64 bits of the "interleave" seed. So the engines order every batch of a
+block or window in one `_order_batches` call, and the per-slot loop orders
+each batch with `_ordered`, the same keys in Python ints.
 
 `run_saturated` reads "channels" as one (4096, N) uniform block, one column
 per queue (queue n is ON in slot t when U[t, n] >= the p_off of its HOL
@@ -46,10 +51,10 @@ horizon, so uniforms drawn past the last departure change nothing.
 
 A `StaticPolicy` (static, dfc-static, serve-if-on) admits independently of
 the state, so `run` gives it a block path: a block's arrival counts and
-per-queue arrival sequences are drawn up front, and the slot loop only moves
-one head pointer per queue. It reads the streams as the per-slot loop does
-and gives the same metrics seed for seed; the per-slot loop stays the
-reference for every other policy.
+per-queue arrival sequences are drawn and interleaved up front, and the slot
+loop only moves one head pointer per queue. It reads the streams as the
+per-slot loop does and gives the same metrics seed for seed; the per-slot
+loop stays the reference for every other policy.
 
 `lockstep.run_batch` advances many fluid qfc and max-weight runs at once and
 gives each the metrics `run` gives it, seed for seed, without `q_trace`.
@@ -70,7 +75,6 @@ from typing import Any
 import numpy as np
 
 from .core import ConfigError, NetworkConfig
-from .markov import SteadyState
 from .policies import MaxWeightPolicy, Policy, QfcPolicy, StaticPolicy, build_policy
 
 _BLOCK = 4096
@@ -94,6 +98,56 @@ def stream_hash(master_seed: int, name: str) -> str:
 
 def _stream(master_seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(stream_seed(master_seed, name))
+
+
+# SplitMix64's finalizer constants; uint64 copies spare numpy int conversions
+_MIX = (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31, (1 << 64) - 1)
+_MIX_U64 = tuple(map(np.uint64, _MIX))
+
+
+def _interleave_word(master_seed: int) -> int:
+    return stream_seed(master_seed, "interleave") & _MIX[5]
+
+
+def _mix(z, c=_MIX):
+    """SplitMix64's finalizer, a bijection of 64-bit words: of one Python
+    int, or with c=_MIX_U64 of each entry of a uint64 array."""
+    z = (z ^ z >> c[0]) * c[1] & c[5]
+    z = (z ^ z >> c[2]) * c[3] & c[5]
+    return z ^ z >> c[4]
+
+
+def _slot_hash(word, t, n, c=_MIX):
+    """Hash of queue n's arrival batch in slot t (Python ints, or uint64
+    arrays with c=_MIX_U64): packet j of it has the key _mix(h ^ j)."""
+    return _mix(_mix(word ^ t, c) ^ n, c)
+
+
+def _ordered(batch: list, h: int) -> list:
+    """The packets of a batch with slot hash h, in the order of their keys."""
+    if len(batch) == 2:  # the common case, without a sort
+        return batch[::-1] if _mix(h ^ 1) < _mix(h) else batch
+    keys = [_mix(h ^ j) for j in range(len(batch))]
+    return [batch[j] for j in sorted(range(len(batch)), key=keys.__getitem__)]
+
+
+def _order_batches(ids: np.ndarray, sizes: np.ndarray, t0: int, words: np.ndarray,
+                   queues: np.ndarray) -> None:
+    """Order every batch in `ids` by its interleave keys, in place.
+
+    `ids` holds a grid of batches slot by slot, R rows a slot: batch i, of
+    sizes[i] packets, is what row i % R took in slot t0 + i // R, row r being
+    queue queues[r] of the run with key word words[r] (uint64 arrays of R).
+    """
+    u64 = np.uint64
+    multi = (sizes > 1).nonzero()[0]
+    size, row = sizes[multi], multi % words.size
+    h = _slot_hash(words[row], (t0 + multi // words.size).astype(u64), queues[row], _MIX_U64)
+    b = np.repeat(np.arange(multi.size), size)  # each packet's batch
+    first = np.cumsum(sizes)[multi] - size
+    pos = np.arange(b.size) + np.repeat(first - (np.cumsum(size) - size), size)
+    keys = _mix(h[b] ^ (pos - first[b]).astype(u64), _MIX_U64)
+    ids[pos] = ids[pos[np.lexsort((keys, b))]]
 
 
 @dataclass
@@ -238,9 +292,11 @@ def run(spec: RunSpec) -> TraceMetrics:
         offsets.append(acc_off)
         acc_off += flow_counts[n]
 
+    fluid = spec.arrival_mode == "fluid"
     rng_ch = _stream(spec.seed, "channels")
-    rng_ar = _stream(spec.seed, "arrivals")
+    rng_ar = None if fluid else _stream(spec.seed, "arrivals")
     rng_sc = _stream(spec.seed, "scheduling")
+    word = _interleave_word(spec.seed)
 
     buffers: list[deque] = [deque() for _ in range(n_queues)]
     q_tot = [0] * n_queues
@@ -261,7 +317,6 @@ def run(spec: RunSpec) -> TraceMetrics:
     served_by_slot = array("b")
     arrivals_by_slot = [array("i") for _ in range(n_queues)]
 
-    fluid = spec.arrival_mode == "fluid"
     horizon = spec.horizon
     on_block: list = []
     sc_block: list = []
@@ -299,8 +354,7 @@ def run(spec: RunSpec) -> TraceMetrics:
         rates = policy.admission(q_start, q_flow)
         for n in range(n_queues):
             rates_n = rates[n]
-            batch: list[int] | None = None
-            single = -1
+            batch: list[int] = []  # flows in index order, each repeated by its count
             if fluid:
                 frac_n = frac[n]
                 for k in range(flow_counts[n]):
@@ -311,16 +365,7 @@ def run(spec: RunSpec) -> TraceMetrics:
                     if v >= 1.0:
                         cnt = int(v)
                         frac_n[k] = v - cnt
-                        if single < 0 and batch is None:
-                            if cnt == 1:
-                                single = k
-                            else:
-                                batch = [k] * cnt
-                        else:
-                            if batch is None:
-                                batch = [single]
-                                single = -1
-                            batch.extend([k] * cnt)
+                        batch += [k] * cnt
                     else:
                         frac_n[k] = v
             else:
@@ -330,31 +375,12 @@ def run(spec: RunSpec) -> TraceMetrics:
                     r = rates_n[k]
                     if r <= 0.0:
                         continue
-                    cnt = bisect_right(poisson_cdf(r), u_row[off + k])
-                    if cnt == 0:
-                        continue
-                    if cnt == 1 and single < 0 and batch is None:
-                        single = k
-                    else:
-                        if batch is None:
-                            batch = [single] if single >= 0 else []
-                            single = -1
-                        batch.extend([k] * cnt)
-            n_new = 0
-            if single >= 0:
-                n_new = 1
-                buffers[n].append((single, t))
-                q_flow[n][single] += 1
-                admitted[n][single] += 1
-                if record:
-                    arrival_log[n].append((single, t))
-            elif batch is not None:
-                n_new = len(batch)
-                if n_new == 2:
-                    if rng_ar.random() < 0.5:
-                        batch[0], batch[1] = batch[1], batch[0]
-                elif n_new > 2:
-                    rng_ar.shuffle(batch)
+                    batch += [k] * bisect_right(poisson_cdf(r), u_row[off + k])
+            n_new = len(batch)
+            if n_new:
+                if n_new > 1:
+                    batch = _ordered(batch, _slot_hash(word, t, n))
+                q_tot[n] += n_new
                 buf = buffers[n]
                 qf = q_flow[n]
                 adm = admitted[n]
@@ -365,8 +391,6 @@ def run(spec: RunSpec) -> TraceMetrics:
                     adm[k] += 1
                     if record:
                         log_n.append((k, t))
-            if n_new:
-                q_tot[n] += n_new
             if record:
                 arrivals_by_slot[n].append(n_new)
 
@@ -426,6 +450,7 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
     # queue n owns the flows bounds[n]:bounds[n + 1] of the flat flow order
     bounds = np.cumsum([0] + [cfg.n_flows(n) for n in qs]).tolist()
     n_flows = bounds[-1]
+    queue_of = np.repeat(np.arange(n_queues), np.diff(bounds))  # of each flow
     p_off = np.array([f.p_off for q in cfg.queues for f in q.flows], dtype=float)
     rates = [r for row in policy.rates for r in row]
     live = [f for f, r in enumerate(rates) if r > 0.0]
@@ -439,8 +464,10 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
     flow_bits = np.array([1 << f for f in range(n_flows)], np.int64 if n_flows < 63 else object)
 
     rng_ch = _stream(spec.seed, "channels")
-    rng_ar = _stream(spec.seed, "arrivals")
+    rng_ar = None if fluid else _stream(spec.seed, "arrivals")
     rng_sc = _stream(spec.seed, "scheduling")
+    words = np.full(n_queues, _interleave_word(spec.seed), np.uint64)
+    queues = np.arange(n_queues, dtype=np.uint64)
 
     q_trace = np.empty((horizon, n_queues), dtype=np.int32)
     state_visits = np.zeros(1 << n_queues, dtype=np.int64)
@@ -469,13 +496,10 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
                 counts[:, f] = np.searchsorted(cdfs[f], u_arr[f, :size], side="right")
         arrived = np.add.reduceat(counts, bounds[:-1], axis=1)  # (size, N)
         firsts = np.cumsum(arrived, axis=0) - arrived  # slot t's first arrival
-        # per queue: slot-major, flows in index order within a slot
-        seqs = [
-            np.repeat(np.tile(np.arange(bounds[n], bounds[n + 1]), size),
-                      counts[:, bounds[n]:bounds[n + 1]].ravel()).tolist()
-            for n in qs
-        ]
-        _interleave(rng_ar, seqs, firsts, arrived)
+        # slot-major, then queue, flows in index order, each repeated by its count
+        seq = np.repeat(np.tile(np.arange(n_flows), size), counts.ravel())
+        _order_batches(seq, arrived.ravel(), b0, words, queues)
+        seqs = [seq[queue_of[seq] == n].tolist() for n in qs]
 
         queued = firsts + np.array([len(p) for p in pending])  # start of slot t
         avail = queued.T.tolist()
@@ -567,24 +591,6 @@ def _flow_counts(flows: list[int], n_flows: int) -> np.ndarray:
     return np.bincount(np.array(flows, dtype=np.int64), minlength=n_flows)
 
 
-def _interleave(rng: np.random.Generator, seqs: list[list[int]],
-                firsts: np.ndarray, arrived: np.ndarray) -> None:
-    """Order each slot's arrivals at a queue as the per-slot loop does: in
-    slot then queue order, a 2-packet batch swaps on a uniform below 0.5 and
-    a larger batch is shuffled."""
-    ev_t, ev_n = np.nonzero(arrived >= 2)
-    for k, n, a in zip(arrived[ev_t, ev_n].tolist(), ev_n.tolist(),
-                       firsts[ev_t, ev_n].tolist()):
-        s = seqs[n]
-        if k == 2:
-            if rng.random() < 0.5:
-                s[a], s[a + 1] = s[a + 1], s[a]
-        else:
-            batch = s[a:a + k]
-            rng.shuffle(batch)
-            s[a:a + k] = batch
-
-
 def _metrics(spec: RunSpec, policy_name: str, warmup: int,
              admitted: list[list[int]], served: list[list[int]],
              admitted_w: list[list[int]], served_w: list[list[int]],
@@ -626,7 +632,7 @@ def _metrics(spec: RunSpec, policy_name: str, warmup: int,
         state_serves=state_serves,
         rng_streams={
             name: stream_hash(spec.seed, name)
-            for name in ("channels", "arrivals", "scheduling")
+            for name in ("channels", "arrivals", "scheduling", "interleave")
         },
         trace=trace,
     )
@@ -644,13 +650,6 @@ class SaturatedMetrics:
     p_blocked: tuple[tuple[float, ...], ...]
     p_hol: tuple[tuple[float, ...], ...]
     joint: np.ndarray  # (2**N, N, max_K): P[state, HOL_n = k]
-
-    def steady_state(self, n: int) -> SteadyState:
-        return SteadyState(
-            p_serviceable=self.p_serviceable[n],
-            p_blocked=self.p_blocked[n],
-            p_hol=self.p_hol[n],
-        )
 
 
 def run_saturated(

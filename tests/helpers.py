@@ -7,7 +7,7 @@ import numpy as np
 from wfifo import FlowSpec, NetworkConfig, QueueSpec, SchedulingPolicy
 from wfifo.core import OFF, ON, state_bit
 from wfifo.dfc import LOG_FLOOR, _objective_const, _scales_and_gradient, _weights, solve_dfc
-from wfifo.markov import state_marginal
+from wfifo.markov import SteadyState, state_marginal
 from wfifo.sim import _BLOCK, SaturatedMetrics, _stream
 from wfifo.stability import inner_coefficients
 
@@ -162,7 +162,16 @@ def dfc_gap_vs_oracle(cfg: NetworkConfig, grid_step: float = 0.01) -> float:
     return sol.objective - best
 
 
-# ----- reference saturated head-of-line loop -----
+# ----- saturated head-of-line runs -----
+
+
+def saturated_steady_state(sat: SaturatedMetrics, n: int) -> SteadyState:
+    """Queue n's empirical HOL statistics, in the closed forms' type."""
+    return SteadyState(
+        p_serviceable=sat.p_serviceable[n],
+        p_blocked=sat.p_blocked[n],
+        p_hol=sat.p_hol[n],
+    )
 
 
 def run_saturated_reference(cfg: NetworkConfig, hol_mix: list[list[float]],

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from helpers import make_cfg
 from wfifo import ConfigError, RunSpec, run
 from wfifo.cli import (
+    _POLICY_CHOICES,
     _UNIT_GRID,
+    FIGURES,
     LOCKSTEP_MIN_RUNS,
     ExperimentPlan,
     _fig8_cfg,
@@ -290,13 +292,91 @@ def test_commands_end_in_a_verdict_or_one_error_line(data):
         path = Path(tmp) / "c.json"
         path.write_text(json.dumps(data))
         for argv in commands:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = main(argv[:1] + ["--config", str(path)] + argv[1:])
-            assert rc in (0, 1, 2), argv
-            assert "Traceback" not in err.getvalue()
-            assert err.getvalue().count("error:") <= 1, (argv, err.getvalue())
-            assert (rc == 1) == err.getvalue().startswith("error: "), (argv, err.getvalue())
+            _assert_verdict_or_one_error(argv[:1] + ["--config", str(path)] + argv[1:])
+
+
+def _assert_verdict_or_one_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("error:") <= 1, (argv, err.getvalue())
+    assert (rc == 1) == err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
+# a plan that validates, then up to two fields replaced by any JSON value and
+# one maybe removed; counts stay small, so any plan that runs takes well
+# under a second
+_any_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=2)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=4,
+)
+_PLAN_PATHS = ["beta", "M", "r_max", "queues[0].flows[0].p_off",
+               "queues[0].flows[0].lambda", "queues[0].flows", "queues[2].flows[1].p_off"]
+
+
+@st.composite
+def _plan(draw):
+    config = dict(draw(_edge_config), M=draw(st.sampled_from([0.5, 100.0])),
+                  r_max=draw(st.sampled_from([0.5, 2.0, 700.0])))
+    config.setdefault("beta", 1.0)
+    horizon = draw(st.integers(1, 40))
+    plan = {"config": config,
+            "parameter": draw(st.sampled_from(_PLAN_PATHS)),
+            "values": draw(st.lists(st.sampled_from([1.0, 0.5, 2.0, 0.0, 1e308]),
+                                    min_size=1, max_size=3)),
+            "seeds": draw(st.integers(1, 3)),
+            "policies": draw(st.lists(st.sampled_from(_POLICY_CHOICES), min_size=1,
+                                      max_size=3, unique=True)),
+            "horizon": horizon,
+            "arrival_mode": draw(st.sampled_from(["fluid", "stochastic"]))}
+    if draw(st.booleans()):
+        plan["warmup"] = draw(st.integers(0, horizon - 1))
+    return plan
+
+
+_PLAN_FIELDS = ["config", "parameter", "values", "seeds", "policies", "horizon",
+                "warmup", "arrival_mode"]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_plan(), st.just({}) | st.dictionaries(st.sampled_from(_PLAN_FIELDS), _any_json,
+                                              min_size=1, max_size=2),
+       st.none() | st.sampled_from(_PLAN_FIELDS))
+def test_sweep_ends_in_a_verdict_or_one_error_line(plan, replaced, removed):
+    plan = {**plan, **replaced}
+    plan.pop(removed, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        path.write_text(json.dumps(plan))
+        _assert_verdict_or_one_error(["sweep", "--plan", str(path)])
+
+
+# output directories under a scratch root: names that exist as files, are
+# too long for the file system, or climb back up; never a NUL, which no
+# command line can carry
+_out_part = st.sampled_from(["a", "file", ".", "..", "", "x" * 300, "é ü", "b-c"])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(FIGURES)), st.integers(1, 3) | st.sampled_from([0, -1]),
+       st.integers(1, 30) | st.sampled_from([0, -1]),
+       st.integers(-(1 << 70), 1 << 70), st.lists(_out_part, max_size=3))
+def test_reproduce_fig_ends_in_a_verdict_or_one_error_line(figure, seeds, horizon, seed,
+                                                           out_parts):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "d1" / "d2" / "d3"  # no part list climbs out of tmp
+        root.mkdir(parents=True)
+        (root / "file").write_text("")
+        out = "/".join([str(root)] + out_parts)
+        _assert_verdict_or_one_error(["reproduce-fig", figure, "--seeds", str(seeds),
+                                      "--horizon", str(horizon), "--seed", str(seed),
+                                      "--out", out])
 
 
 # ----- solve-dfc -----
@@ -342,7 +422,7 @@ def test_simulate_summary_fields(tmp_path, capsys):
     assert all(sum(row) <= v for row, v in zip(serves, visits))
     assert serves[0] == [0] and serves[1][0] > 0  # served only when ON
     assert summary["stability"]["verdict"] in ("stable", "inconclusive")
-    assert set(summary["rng_streams"]) == {"channels", "arrivals", "scheduling"}
+    assert set(summary["rng_streams"]) == {"channels", "arrivals", "scheduling", "interleave"}
     assert len(summary["admitted_rate"][0]) == 2
 
 
@@ -617,7 +697,7 @@ def test_sweep_prints_one_progress_line_per_value(tmp_path, capsys):
     plan = write_plan(tmp_path, "p.json", **SMALL_PLAN)
     assert main(["sweep", "--plan", plan, "--seed", "3"]) == 0
     captured = capsys.readouterr()
-    assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == "c95c0072edf59149"
+    assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == "657754d7f2679d30"
     lines = captured.err.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("wfifo: point 1/2 ") and lines[0].endswith(" s elapsed")
@@ -658,21 +738,39 @@ def test_recipe_output_path_error_is_one_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
-# sha256 prefixes of the CSVs at --seeds 2 --horizon 2000 --seed 0, as the
-# per-figure recipe loops wrote them before the recipes became table entries;
+@pytest.mark.parametrize("seeds, expect", [
+    (2 ** 61, "too large for this machine"),  # the run list is refused unallocated
+    (10 ** 30, "seeds: must be"),  # past any list index: rejected as input
+])
+@pytest.mark.parametrize("command", ["reproduce-fig", "sweep"])
+def test_too_many_replicates_is_a_one_line_error(tmp_path, capsys, command, seeds, expect):
+    # fails at once (fig6's pool loop would fill memory slowly instead)
+    if command == "sweep":
+        plan = write_plan(tmp_path, "p.json", **dict(SMALL_PLAN, seeds=float(seeds)))
+        argv = ["sweep", "--plan", plan]
+    else:
+        argv = ["reproduce-fig", "fig5a", "--seeds", str(seeds), "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expect in err and err.count("\n") == 1
+
+
+# sha256 prefixes of the CSVs at --seeds 2 --horizon 2000 --seed 0, re-pinned
+# when same-slot arrivals became ordered by counter-based interleave keys;
 # fig8a's one planner cell is the correctly rounded optimum of the closed
 # form below since the planner became proportional response
 RECIPE_SHA = {
-    "fig5a": "6d7df1dfe86cb2ad",
-    "fig5b": "a9a6d0bdebfb30f1",
-    "fig6": "cf11689308a68239",
-    "fig7a": "6f521e2c319f6b0d",
-    "fig7b": "0c52545c98872740",
-    "fig8a": "9a5b3bf54417c69b",  # pm2=0.3 lambda_m2_dfc 0.164429 -> 0.16443
-    "fig8b": "a41a2767cd38622a",
+    "fig5a": "072eba0926426916",
+    "fig5b": "45401915a695606d",
+    "fig6": "553f36f30ea1c30a",
+    "fig7a": "3184c51caeea57f2",
+    "fig7b": "19c08115c85bbb18",
+    "fig8a": "7504ad6a4f6ded38",  # pm2=0.3 lambda_m2_dfc 0.164429 -> 0.16443
+    "fig8b": "08d8f480990cac82",
     # SMALL_PLAN at --seed 3; re-pinned when stochastic arrivals became
-    # inverse-CDF draws from one uniform block per 4,096 slots
-    "sweep": "c95c0072edf59149",
+    # inverse-CDF draws from one uniform block per 4,096 slots, and again
+    # with the interleave keys
+    "sweep": "657754d7f2679d30",
 }
 
 

@@ -5,7 +5,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from helpers import make_cfg, run_saturated_reference, single_queue_cfg
+from helpers import make_cfg, run_saturated_reference, saturated_steady_state, single_queue_cfg
 from wfifo import (
     RunSpec,
     detect_stability,
@@ -19,8 +19,17 @@ from wfifo import (
 )
 from wfifo.core import ConfigError
 from wfifo.policies import Policy, StaticPolicy, build_policy
-from wfifo import lockstep
-from wfifo.sim import check_poisson_rates, poisson_cdf, stream_seed
+from wfifo import lockstep, sim
+from wfifo.sim import (
+    _MIX_U64,
+    _mix,
+    _order_batches,
+    _ordered,
+    _slot_hash,
+    check_poisson_rates,
+    poisson_cdf,
+    stream_seed,
+)
 
 
 def small_run(**kw):
@@ -363,7 +372,7 @@ def test_open_loop_block_path_equals_per_slot_loop(mode, horizon):
         _assert_same_metrics(fast, ref)
         multi += int((fast.trace["arrivals_by_slot"] >= 3).sum())
     if horizon > 10:
-        assert multi > 0  # the shuffle draws were exercised
+        assert multi > 0  # batches of 3+ packets were interleaved
 
 
 @pytest.mark.parametrize("mode", ["fluid", "stochastic"])
@@ -432,7 +441,7 @@ def test_run_batch_equals_run(horizon, third):
         _assert_same_metrics(dataclasses.replace(got, q_trace=ref.q_trace, trace=ref.trace), ref)
         sizes.append(ref.trace["arrivals_by_slot"])
     sizes = np.concatenate([a.ravel() for a in sizes])
-    assert (sizes == 2).any() and (sizes >= 3).any()  # swap and shuffle draws
+    assert (sizes == 2).any() and (sizes >= 3).any()  # 2-packet and larger batches
     if horizon > 4096:
         # the dead-flow max-weight backlog outgrew the FIFO's first capacity
         # (64 entries for this batch) several doublings over
@@ -521,6 +530,86 @@ def test_fluid_rates_are_capped_too(policy, field):
     assert run(ok).horizon == 100
 
 
+# ----- interleave keys -----
+
+
+def test_scalar_interleave_keys_equal_the_vector_form():
+    # random words, slots past 2**24, queues, and packet indexes past 4,096
+    rng = np.random.default_rng(11)
+    words = rng.integers(0, 1 << 63, 400, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    slots = rng.integers(0, 1 << 40, 400).astype(np.uint64)
+    slots[:5] = [0, 1 << 24, (1 << 24) + 1, 1 << 32, (1 << 62) - 1]
+    queues = rng.integers(0, 64, 400).astype(np.uint64)
+    js = rng.integers(0, 10_000, 400).astype(np.uint64)
+    keys = _mix(_slot_hash(words, slots, queues, _MIX_U64) ^ js, _MIX_U64)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [_mix(_slot_hash(w, t, n) ^ j) for w, t, n, j in zip(
+        words.tolist(), slots.tolist(), queues.tolist(), js.tolist())]
+
+
+@pytest.mark.parametrize("weak", [False, True])
+@pytest.mark.parametrize("n_slots", [2, 40])
+def test_interleave_orders_each_batch_by_its_scalar_keys(n_slots, weak, monkeypatch):
+    if weak:  # 5-bit keys: ties in a batch, which go by position
+        monkeypatch.setattr(sim, "_mix", lambda z, c=sim._MIX: z & c[4])
+    rng = np.random.default_rng(n_slots)
+    words = rng.integers(0, 1 << 63, 3, dtype=np.uint64) * np.uint64(2)
+    queues = np.array([0, 1, 5], dtype=np.uint64)
+    sizes = rng.integers(0, 6, n_slots * 3)
+    sizes[4] = 5000  # packet indexes past 4,096
+    t0 = (1 << 24) - 1
+    ids = np.arange(int(sizes.sum()))
+    _order_batches(ids, sizes, t0, words, queues)
+    for i, (k, e) in enumerate(zip(sizes.tolist(), np.cumsum(sizes).tolist())):
+        h = _slot_hash(int(words[i % 3]), t0 + i // 3, int(queues[i % 3]))
+        keys = [sim._mix(h ^ j) for j in range(k)]
+        want = sorted(range(e - k, e), key=lambda p: keys[p - e + k])  # ties by position
+        assert ids[e - k:e].tolist() == want == _ordered(list(range(e - k, e)), h), i
+
+
+# chi-square quantiles at 0.999 for 1, 5 and 23 degrees of freedom
+_CHI2_999 = {2: 10.828, 3: 20.515, 4: 49.728}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_interleave_permutations_are_uniform(k):
+    n_perms = math.factorial(k)
+    n_batches = 1000 * n_perms  # 2 queues of a run, slots 17 onwards
+    ids = np.tile(np.arange(k), n_batches)
+    words = np.full(2, sim._interleave_word(4), np.uint64)
+    _order_batches(ids, np.full(n_batches, k), 17, words, np.arange(2, dtype=np.uint64))
+    code = ids.reshape(-1, k) @ (k ** np.arange(k))
+    counts = np.unique(code, return_counts=True)[1]
+    assert counts.size == n_perms
+    chi2 = float(((counts - 1000.0) ** 2).sum() / 1000.0)
+    assert chi2 < _CHI2_999[k], counts
+
+
+def test_interleaving_opens_no_arrivals_stream(monkeypatch):
+    opened = []
+
+    def recording(seed, name):
+        opened.append(name)
+        return np.random.default_rng(stream_seed(seed, name))
+
+    monkeypatch.setattr(sim, "_stream", recording)
+    monkeypatch.setattr(lockstep, "_stream", recording)
+    specs = [RunSpec(cfg=make_cfg(rows, M=M, r_max=r_max, beta=beta), policy=pol,
+                     horizon=300, seed=50 + 7 * i)
+             for i, (rows, pol, M, r_max, beta) in enumerate(_LOCKSTEP_CASES)]
+    run_batch(specs)
+    assert opened and set(opened) == {"channels"}
+    cfg = make_cfg([[0.1, 0.2, 0.3]])
+    pol = serve_if_on_policy(cfg, [[0.9, 0.8, 2.3]])
+    for policy in ("qfc", pol, _Delegate(pol)):  # per-slot loop and block path
+        opened.clear()
+        run(RunSpec(cfg=cfg, policy=policy, horizon=300))
+        assert set(opened) == {"channels", "scheduling"}
+        opened.clear()
+        run(RunSpec(cfg=cfg, policy=policy, horizon=300, arrival_mode="stochastic"))
+        assert set(opened) == {"channels", "scheduling", "arrivals"}
+
+
 # ----- saturated head-of-line process -----
 
 
@@ -538,7 +627,7 @@ def test_saturated_two_flow_blocking_stats():
     assert sat.p_blocked[0][0] == pytest.approx(1 / 3, abs=0.01)
     assert sat.p_blocked[0][1] == pytest.approx(0.0, abs=1e-12)
     assert sat.p_hol[0][0] == pytest.approx(2 / 3, abs=0.01)
-    ss = sat.steady_state(0)
+    ss = saturated_steady_state(sat, 0)
     assert ss.p_serviceable == sat.p_serviceable[0]
 
 
