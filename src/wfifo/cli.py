@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Callable, ContextManager, Optional, Sequence
+from typing import IO, Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -85,16 +85,28 @@ def _digest_obj(obj: Any) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _open_out(out: Optional[str], stdout: bool = True) -> ContextManager[Optional[IO[str]]]:
+@contextlib.contextmanager
+def _open_out(out: Optional[str], stdout: bool = True) -> Iterator[Optional[IO[str]]]:
     """Open an output file, creating its directory; when `out` is None,
     stdout, or None if `stdout` is false.
 
-    Called before the work starts, so an unusable path fails at once.
+    Entered before the work starts, so an unusable path fails at once. If
+    the work raises, a regular file it opened is deleted, so a failed
+    command leaves nothing that looks like a result; that includes a file
+    that was there before, which opening it truncated.
     """
     if out is None:
-        return contextlib.nullcontext(sys.stdout if stdout else None)
+        yield sys.stdout if stdout else None
+        return
     Path(out).parent.mkdir(parents=True, exist_ok=True)
-    return open(out, "w", encoding="utf-8", newline="\n")
+    fh = open(out, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if Path(out).is_file():  # not a device such as /dev/null
+            Path(out).unlink(missing_ok=True)
+        raise
 
 
 def _write_csv(

@@ -11,14 +11,17 @@ run:
 3. admit by each policy's closed form on the start-of-slot backlogs, in the
    same float operations as the policy class, and take the fluid step
    v = frac + rate, count = floor(v), frac = v - count;
-4. log the counts, and add them to the backlogs;
-5. serve the granted heads of line.
+4. log the counts, and add them to the per-flow backlogs;
+5. serve the granted heads of line, taking them off their flows' backlogs.
 
 Once per window of slots, which lasts as long as the smallest backlog among
 queues that can admit (1 to `_WINDOW` slots) and ends at each channel piece
-and at warmup, the log is written to the FIFOs: flows in index order, each
-repeated by its count, and every same-slot batch of the window, of every
-run, ordered by its interleave keys in one `sim._order_batches` call.
+and at warmup, the log is summed into the per-flow admissions and written
+to the FIFOs: flows in index order, each repeated by its count, and every
+same-slot batch of the window, of every run, ordered by its interleave keys
+in one `sim._order_batches` call. Admissions and backlogs are the only
+per-flow counts: `sim._metrics` derives the served ones as their
+difference, so no FIFO entry is ever counted.
 
 Each run reads "channels" as `sim.run` does, in (1024, F) pieces, which are
 the rows of its (4096, F) blocks in order, and opens no other stream: fluid
@@ -32,29 +35,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .policies import MaxWeightPolicy, Policy, QfcPolicy, build_policy
+from .policies import MaxWeightPolicy, Policy, QfcPolicy
 from .sim import (RunSpec, TraceMetrics, _interleave_word, _metrics, _order_batches,
-                  _stream, check_poisson_rates)
+                  _prepare, _stream)
 
 _PIECE = 1024  # slots per channel draw and state tally
 _WINDOW = 32  # most slots whose arrivals are written to the FIFOs at once
 
 
-def _lockstep_policy(spec: RunSpec, horizon: int, warmup: int) -> Policy:
-    """The built qfc or max-weight policy of a `run_batch` spec, checked."""
-    errs = spec.cfg.validate()
-    if errs:
-        raise ValueError("; ".join(errs))
-    if spec.horizon != horizon or spec.resolved_warmup() != warmup:
-        raise ValueError("run_batch: every spec must share one horizon and warmup")
+def _lockstep_policy(spec: RunSpec, first: RunSpec) -> Policy:
+    """The built policy of a `run_batch` spec, checked as `sim.run` checks
+    it and for what only lockstep needs: fluid arrivals, no trace, qfc or
+    max-weight, and the horizon and warmup of the batch's `first` spec."""
     if spec.arrival_mode != "fluid" or spec.record_trace:
         raise ValueError("run_batch: takes fluid-arrival runs without record_trace")
-    policy = spec.policy
-    if isinstance(policy, str) and policy in ("qfc", "maxweight"):
-        policy = build_policy(spec.cfg, policy)
-    if type(policy) not in (QfcPolicy, MaxWeightPolicy):
+    named = spec.policy if isinstance(spec.policy, str) else type(spec.policy)
+    if named not in ("qfc", "maxweight", QfcPolicy, MaxWeightPolicy):
         raise ValueError(f"run_batch: takes qfc and max-weight runs, got {spec.policy!r}")
-    check_poisson_rates(spec.cfg, policy, "fluid")
+    policy, warmup = _prepare(spec)
+    if spec.horizon != first.horizon or warmup != first.resolved_warmup():
+        raise ValueError("run_batch: every spec must share one horizon and warmup")
     return policy
 
 
@@ -68,20 +68,19 @@ def run_batch(specs: Sequence[RunSpec]) -> list[TraceMetrics]:
     padded queue or flow never admits and is never ON.
 
     Per (run, queue) the state is a FIFO buffer of flow ids, a head and a
-    tail index into it. Entries from the tail on hold the sentinel id K, a
-    channel column that is always OFF, so an empty queue reads as blocked
-    without a backlog test. Before a tail can pass the end of its row, the
-    rows are compacted to their live entries, and the capacity doubles
-    until it holds twice the largest backlog plus a window's most arrivals.
+    tail index into it, and per flow a backlog and an admission count, at
+    the end and at warmup, from which `sim._metrics` derives the served
+    counts. Entries from the tail on hold the sentinel id K, a channel
+    column that is always OFF, so an empty queue reads as blocked without a
+    backlog test. Before a tail can pass the end of its row, the rows are
+    compacted to their live entries, dropping the served ones, and the
+    capacity doubles until it holds twice the largest backlog plus a
+    window's most arrivals.
     """
     if not specs:
         return []
-    horizon = specs[0].horizon
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    warmup = specs[0].resolved_warmup()
-    pols = [_lockstep_policy(spec, horizon, warmup) for spec in specs]
-    return _lockstep(list(specs), pols, horizon, warmup)
+    pols = [_lockstep_policy(spec, specs[0]) for spec in specs]
+    return _lockstep(list(specs), pols, specs[0].horizon, specs[0].resolved_warmup())
 
 
 # most state-counter entries, runs x 2**N x (N + 1) for the largest queue
@@ -127,7 +126,6 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
             ub = max(ub, k * (int(pol.r_max) + 1))
         on_cols.append(np.array(cols))
         p_off.append(np.array([f.p_off for q in cfg.queues for f in q.flows]))
-    all_qfc, any_qfc = bool(by_queue.all()), bool(by_queue.any())
 
     rng_ch = [_stream(spec.seed, "channels") for spec in specs]
     row_word = np.array([_interleave_word(spec.seed) for spec in specs], np.uint64).repeat(nq)
@@ -138,6 +136,7 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
     frac = np.zeros((n_rows, width))
     v = np.zeros((n_rows, width))
     qf = np.zeros((n_rows, width))  # per-flow backlog
+    adm = np.zeros((n_rows, width), dtype=np.int64)  # per-flow admissions
     qf_flat = qf.reshape(-1)  # indexed by a row's flat HOL column, as `on` is
     q = np.zeros(n_rows)
     cnt_log = np.zeros((_WINDOW, n_rows, width))  # a window's admitted counts
@@ -151,10 +150,7 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
     head = np.arange(n_rows, dtype=np.int64) * cap  # flat index of each HOL
     tail = head.copy()  # flat index of each row's next free entry
     tail_hi = 0  # bound on the largest tail offset within a row
-    # served packets, per (row, flow): those whose entries compaction dropped,
-    # plus each row's entries from `begin` to its head
-    gone, begin = 0, head.copy()
-    qf_w = served_w = None  # snapshot at the start of slot `warmup`
+    adm_w = qf_w = None  # snapshot at the start of slot `warmup`
     hol_at = np.zeros(n_rows, dtype=np.int64)  # flat column of each HOL
     hol_base = np.arange(n_rows, dtype=np.int64) * width
     run_base = np.arange(n_runs, dtype=np.int64) * nq
@@ -184,17 +180,15 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
                 # start, and a row with m >= 1 of them serves at most one a slot,
                 # so its HOL is a written packet for m slots (an empty one, 1)
                 if b0 + t0 == warmup:
-                    qf_w, served_w = qf.astype(np.int64), gone + _tally(fifo, begin, head, width)
+                    adm_w, qf_w = adm.copy(), qf.astype(np.int64)
                 wl = min(max(int(q.min(initial=_WINDOW, where=live)), 1), _WINDOW, size - t0)
                 if b0 + t0 < warmup < b0 + t0 + wl:
                     wl = warmup - b0 - t0
                 if tail_hi + wl * ub >= cap:
                     tail_hi = int((tail - np.arange(n_rows) * cap).max())
                     if tail_hi + wl * ub >= cap:
-                        gone = gone + _tally(fifo, begin, head, width)
                         fifo, head, tail, cap = _compact(fifo, head, tail, cap,
                                                          _WINDOW * ub, sentinel)
-                        begin = head.copy()
                         tail_hi = int((tail - head).max())
                 tail_hi += wl * ub
 
@@ -209,13 +203,7 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
                         sq[g] = sv[g]
 
                     # admission and the fluid step, counts logged for the window
-                    if all_qfc:
-                        seen = q[:, None]
-                    elif any_qfc:
-                        seen = np.where(by_queue, q[:, None], qf)
-                    else:
-                        seen = qf
-                    np.divide(num, seen, out=v)
+                    np.divide(num, np.where(by_queue, q[:, None], qf), out=v)
                     np.fmin(r_max, v, out=v)
                     np.multiply(v, pb, out=v)
                     np.add(frac, v, out=v)
@@ -229,14 +217,15 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
                     qf_flat[hol_at] -= sq
                     np.add.reduce(qf, 1, out=q)
 
-                # write the window's arrivals: slot-major, then row, flows in
-                # index order, each repeated by its count; then interleave each
-                # (slot, row) batch
+                # sum the window's admissions and write its arrivals: slot-major,
+                # then row, flows in index order, each repeated by its count;
+                # then interleave each (slot, row) batch
                 t0 += wl
                 cnt_w = cnt_log[:wl].astype(np.int64)
                 ids = np.repeat(flow_ids[:cnt_w.size], cnt_w.reshape(-1))
                 if not ids.size:
                     continue
+                adm += np.add.reduce(cnt_w, 0)
                 arr_w = np.add.reduce(cnt_w, 2)
                 arr_f = arr_w.reshape(-1)
                 _order_batches(ids, arr_f, b0 + t0 - wl, row_word, row_queue)
@@ -258,8 +247,7 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
                 for n in range(nq):
                     serves[n] += np.bincount(key[granted[..., n]], minlength=visits.size)
 
-    served = gone + _tally(fifo, begin, head, width)
-    adm, adm_w = served + qf.astype(np.int64), served_w + qf_w
+    qf = qf.astype(np.int64)
     visits = visits.reshape(n_runs, n_states)
     serves = serves.reshape(nq, n_runs, n_states)
 
@@ -268,18 +256,12 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
                 for n in range(cfgs[r].n_queues)]
 
     return [
-        _metrics(spec, pol.name, warmup, nest(adm, r), nest(served, r),
-                 nest(adm_w, r), nest(served_w, r), None,
+        _metrics(spec, pol.name, warmup, nest(adm, r), nest(qf, r),
+                 nest(adm_w, r), nest(qf_w, r), None,
                  visits[r, :1 << spec.cfg.n_queues].copy(),
-                 serves[:spec.cfg.n_queues, r, :1 << spec.cfg.n_queues].T.copy(), {})
+                 serves[:spec.cfg.n_queues, r, :1 << spec.cfg.n_queues].T.copy(), None)
         for r, (spec, pol) in enumerate(zip(specs, pols))
     ]
-
-
-def _tally(fifo: np.ndarray, lo: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:
-    """Per (row, flow id) counts of each row's FIFO entries lo[i]:hi[i]."""
-    return np.array([np.bincount(fifo[a:b], minlength=width)
-                     for a, b in zip(lo.tolist(), hi.tolist())])
 
 
 def _compact(fifo: np.ndarray, head: np.ndarray, tail: np.ndarray, cap: int,

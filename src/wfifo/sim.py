@@ -19,6 +19,15 @@ Admission and the grant both see start-of-slot backlogs, and a packet
 arriving into an empty queue is not serviceable until the next slot, so the
 recorded backlog obeys Q(t+1) = Q(t) - served(t) + arrived(t) exactly.
 
+Every engine counts per flow only what its control needs: the packets
+admitted and the backlog (the per-slot loop's queues, the block path's
+pending sequences, lockstep's flow backlogs), at the end and at the start of
+slot `warmup`. By the recurrence, with queues starting empty, the packets
+served are admitted - backlog; `_metrics` derives them so. With
+`record_trace`, an engine also logs each arrival's (flow, slot) in FIFO
+order and each slot's grant, and `_trace` derives the rest: a queue's
+departures are the first `served` entries of its log.
+
 RNG streams are derived by hashing the master seed with a stream name, so
 two runs differing only in policy see identical channel draws. Each stream
 is read in blocks of 4,096 slots:
@@ -82,8 +91,12 @@ _BLOCK = 4096
 # largest rate the Poisson sampler takes: e**-rate stays a normal float
 POISSON_RATE_MAX = 700.0
 
-# shortest backlog trace `detect_stability` will classify
+# shortest backlog trace `detect_stability` will classify, and the slopes,
+# in packets per slot, at or below which it is stable and at or above which
+# it is unstable
 MIN_VERDICT_SLOTS = 10
+SLOPE_STABLE = 1e-4
+SLOPE_UNSTABLE = 1e-2
 
 
 def stream_seed(master_seed: int, name: str) -> int:
@@ -260,13 +273,8 @@ def check_poisson_rates(cfg: NetworkConfig, policy: str | Policy,
         )
 
 
-def run(spec: RunSpec) -> TraceMetrics:
-    """Simulate one run to its horizon and aggregate metrics.
-
-    A `StaticPolicy` takes the block path `_run_open_loop`; every other
-    policy runs the per-slot reference loop. Both give the same metrics seed
-    for seed.
-    """
+def _prepare(spec: RunSpec) -> tuple[Policy, int]:
+    """Check a run's spec; returns its built policy and resolved warmup."""
     cfg = spec.cfg
     errs = cfg.validate()
     if errs:
@@ -278,9 +286,21 @@ def run(spec: RunSpec) -> TraceMetrics:
     warmup = spec.resolved_warmup()
     policy = build_policy(cfg, spec.policy) if isinstance(spec.policy, str) else spec.policy
     check_poisson_rates(cfg, policy, spec.arrival_mode)
+    return policy, warmup
+
+
+def run(spec: RunSpec) -> TraceMetrics:
+    """Simulate one run to its horizon and aggregate metrics.
+
+    A `StaticPolicy` takes the block path `_run_open_loop`; every other
+    policy runs the per-slot reference loop. Both give the same metrics seed
+    for seed.
+    """
+    policy, warmup = _prepare(spec)
     if type(policy) is StaticPolicy:
         return _run_open_loop(spec, policy, warmup)
 
+    cfg = spec.cfg
     n_queues = cfg.n_queues
     flow_counts = [cfg.n_flows(n) for n in range(n_queues)]
     p_off_flat = np.array(
@@ -298,24 +318,19 @@ def run(spec: RunSpec) -> TraceMetrics:
     rng_sc = _stream(spec.seed, "scheduling")
     word = _interleave_word(spec.seed)
 
-    buffers: list[deque] = [deque() for _ in range(n_queues)]
-    q_tot = [0] * n_queues
+    buffers: list[deque] = [deque() for _ in range(n_queues)]  # queued flow ids
     q_flow = [[0] * flow_counts[n] for n in range(n_queues)]
     frac = [[0.0] * flow_counts[n] for n in range(n_queues)]
 
     admitted = [[0] * flow_counts[n] for n in range(n_queues)]
-    served = [[0] * flow_counts[n] for n in range(n_queues)]
-    admitted_w = [[0] * flow_counts[n] for n in range(n_queues)]
-    served_w = [[0] * flow_counts[n] for n in range(n_queues)]
+    admitted_w = q_flow_w = None  # snapshot at the start of slot `warmup`
     q_traces = [array("i") for _ in range(n_queues)]
     state_visits = np.zeros(1 << n_queues, dtype=np.int64)
     state_serves = np.zeros((1 << n_queues, n_queues), dtype=np.int64)
 
     record = spec.record_trace
     arrival_log: list[list[tuple[int, int]]] = [[] for _ in range(n_queues)]
-    departure_log: list[list[tuple[int, int]]] = [[] for _ in range(n_queues)]
-    served_by_slot = array("b")
-    arrivals_by_slot = [array("i") for _ in range(n_queues)]
+    grants = array("b")
 
     horizon = spec.horizon
     on_block: list = []
@@ -332,67 +347,55 @@ def run(spec: RunSpec) -> TraceMetrics:
             block_at = 0
         on_row = on_block[block_at]
         u_sched = sc_block[block_at]
+        u_row = None if fluid else ar_block[block_at]
         block_at += 1
 
         if t == warmup:
             admitted_w = [list(row) for row in admitted]
-            served_w = [list(row) for row in served]
+            q_flow_w = [list(row) for row in q_flow]
 
         # 2. head-of-line states; EMPTY presents as OFF and is unserviceable
         state_bits = 0
         serviceable = []
         for n in range(n_queues):
-            q_traces[n].append(q_tot[n])
             buf = buffers[n]
-            if buf and on_row[offsets[n] + buf[0][0]]:
+            q_traces[n].append(len(buf))
+            if buf and on_row[offsets[n] + buf[0]]:
                 state_bits |= 1 << n
                 serviceable.append(n)
 
         # 3-4. admission, materialization, interleaved append; both the
         # admission and the grant below see start-of-slot backlogs
-        q_start = list(q_tot)
+        q_start = list(map(len, buffers))
         rates = policy.admission(q_start, q_flow)
         for n in range(n_queues):
-            rates_n = rates[n]
+            rates_n, qf, adm, frac_n = rates[n], q_flow[n], admitted[n], frac[n]
+            off = offsets[n]
             batch: list[int] = []  # flows in index order, each repeated by its count
-            if fluid:
-                frac_n = frac[n]
-                for k in range(flow_counts[n]):
-                    r = rates_n[k]
-                    if r <= 0.0:
-                        continue
+            for k in range(flow_counts[n]):
+                r = rates_n[k]
+                if r <= 0.0:
+                    continue
+                if fluid:
                     v = frac_n[k] + r
-                    if v >= 1.0:
-                        cnt = int(v)
-                        frac_n[k] = v - cnt
-                        batch += [k] * cnt
-                    else:
+                    if v < 1.0:
                         frac_n[k] = v
-            else:
-                u_row = ar_block[block_at - 1]
-                off = offsets[n]
-                for k in range(flow_counts[n]):
-                    r = rates_n[k]
-                    if r <= 0.0:
                         continue
-                    batch += [k] * bisect_right(poisson_cdf(r), u_row[off + k])
-            n_new = len(batch)
-            if n_new:
-                if n_new > 1:
+                    cnt = int(v)
+                    frac_n[k] = v - cnt
+                else:
+                    cnt = bisect_right(poisson_cdf(r), u_row[off + k])
+                    if not cnt:
+                        continue
+                batch += [k] * cnt
+                qf[k] += cnt
+                adm[k] += cnt
+            if batch:
+                if len(batch) > 1:
                     batch = _ordered(batch, _slot_hash(word, t, n))
-                q_tot[n] += n_new
-                buf = buffers[n]
-                qf = q_flow[n]
-                adm = admitted[n]
-                log_n = arrival_log[n]
-                for k in batch:
-                    buf.append((k, t))
-                    qf[k] += 1
-                    adm[k] += 1
-                    if record:
-                        log_n.append((k, t))
-            if record:
-                arrivals_by_slot[n].append(n_new)
+                buffers[n].extend(batch)
+                if record:
+                    arrival_log[n] += [(k, t) for k in batch]
 
         # 5-6. grant and serve
         chosen = policy.schedule(q_start, serviceable, state_bits, u_sched)
@@ -402,34 +405,20 @@ def run(spec: RunSpec) -> TraceMetrics:
                     f"slot {t}: policy granted queue {chosen} whose head-of-line "
                     "channel is not ON"
                 )
-            k, _born = buffers[chosen].popleft()
-            q_tot[chosen] -= 1
-            q_flow[chosen][k] -= 1
-            served[chosen][k] += 1
-            if record:
-                departure_log[chosen].append((k, _born))
+            q_flow[chosen][buffers[chosen].popleft()] -= 1
         if t >= warmup:
             state_visits[state_bits] += 1
             if chosen is not None:
                 state_serves[state_bits, chosen] += 1
         if record:
-            served_by_slot.append(-1 if chosen is None else chosen)
+            grants.append(-1 if chosen is None else chosen)
 
     q_trace = np.column_stack(
         [np.frombuffer(a, dtype=np.int32) for a in q_traces]
     )
-    trace: dict[str, Any] = {}
-    if record:
-        trace = {
-            "arrival_order": arrival_log,
-            "departure_order": departure_log,
-            "served_by_slot": np.frombuffer(served_by_slot, dtype=np.int8),
-            "arrivals_by_slot": np.column_stack(
-                [np.frombuffer(a, dtype=np.int32) for a in arrivals_by_slot]
-            ),
-        }
-    return _metrics(spec, policy.name, warmup, admitted, served, admitted_w,
-                    served_w, q_trace, state_visits, state_serves, trace)
+    return _metrics(spec, policy.name, warmup, admitted, q_flow, admitted_w,
+                    q_flow_w, q_trace, state_visits, state_serves,
+                    (arrival_log, grants) if record else None)
 
 
 def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMetrics:
@@ -473,14 +462,12 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
     state_visits = np.zeros(1 << n_queues, dtype=np.int64)
     state_serves = np.zeros((1 << n_queues, n_queues), dtype=np.int64)
     admitted = np.zeros(n_flows, dtype=np.int64)
-    served = np.zeros(n_flows, dtype=np.int64)
-    admitted_w = served_w = admitted  # snapshot at the start of slot `warmup`
+    admitted_w = backlog_w = admitted  # snapshot at the start of slot `warmup`
     pending: list[list[int]] = [[] for _ in qs]  # queued flow ids, FIFO
 
     record = spec.record_trace
     arrival_log: list[list[tuple[int, int]]] = [[] for _ in qs]
-    served_blocks: list[np.ndarray] = []
-    arrival_blocks: list[np.ndarray] = []
+    grant_log: list[int] = []
 
     for b0 in range(0, horizon, _BLOCK):
         size = min(_BLOCK, horizon - b0)
@@ -540,37 +527,25 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
             np.add.at(state_serves, (state[w:][hit], g[hit]), 1)
         if b0 <= warmup < b0 + size:  # counts at the start of slot `warmup`
             admitted_w = admitted + counts[:w].sum(axis=0)
-            served_w = served + sum(
-                _flow_counts(seq_q[n][:done[w, n]], n_flows) for n in qs
-            )
+            backlog_w = sum(_flow_counts(seq_q[n][done[w, n]:queued[w, n]], n_flows)
+                            for n in qs)
         admitted = admitted + counts.sum(axis=0)
         for n in qs:
-            served = served + _flow_counts(seq_q[n][:heads[n]], n_flows)
             pending[n] = seq_q[n][heads[n]:]
         if record:
             for n in qs:
                 born = np.repeat(np.arange(b0, b0 + size), arrived[:, n]).tolist()
                 local = [f - bounds[n] for f in seqs[n]]
                 arrival_log[n].extend(zip(local, born))
-            served_blocks.append(grant.astype(np.int8))
-            arrival_blocks.append(arrived.astype(np.int32))
+            grant_log += grants
 
     def nest(per_flow: np.ndarray) -> list[list[int]]:
         return [per_flow[bounds[n]:bounds[n + 1]].tolist() for n in qs]
 
-    trace: dict[str, Any] = {}
-    if record:
-        trace = {
-            "arrival_order": arrival_log,
-            "departure_order": [
-                log[:k] for log, k in zip(arrival_log, map(sum, nest(served)))
-            ],
-            "served_by_slot": np.concatenate(served_blocks),
-            "arrivals_by_slot": np.concatenate(arrival_blocks),
-        }
-    return _metrics(spec, policy.name, warmup, nest(admitted), nest(served),
-                    nest(admitted_w), nest(served_w), q_trace, state_visits,
-                    state_serves, trace)
+    backlog = sum(_flow_counts(p, n_flows) for p in pending)
+    return _metrics(spec, policy.name, warmup, nest(admitted), nest(backlog),
+                    nest(admitted_w), nest(backlog_w), q_trace, state_visits,
+                    state_serves, (arrival_log, grant_log) if record else None)
 
 
 def _fluid_counts(rate: float, frac: float, size: int) -> tuple[list[int], float]:
@@ -592,28 +567,29 @@ def _flow_counts(flows: list[int], n_flows: int) -> np.ndarray:
 
 
 def _metrics(spec: RunSpec, policy_name: str, warmup: int,
-             admitted: list[list[int]], served: list[list[int]],
-             admitted_w: list[list[int]], served_w: list[list[int]],
+             admitted: list[list[int]], backlog: list[list[int]],
+             admitted_w: list[list[int]], backlog_w: list[list[int]],
              q_trace: np.ndarray | None, state_visits: np.ndarray,
-             state_serves: np.ndarray, trace: dict[str, Any]) -> TraceMetrics:
+             state_serves: np.ndarray, log: tuple | None) -> TraceMetrics:
+    """A run's metrics from its per-flow admissions and backlogs, at the end
+    and at the start of slot `warmup`. Queues start empty, so the packets
+    served are admitted - backlog. `log` is None, or the (arrival log,
+    grants) pair `_trace` takes.
+    """
+    def minus(x, y) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(a - b for a, b in zip(xr, yr)) for xr, yr in zip(x, y))
+
     window = spec.horizon - warmup
-    admitted_rate = tuple(
-        tuple((a - w) / window for a, w in zip(arow, wrow))
-        for arow, wrow in zip(admitted, admitted_w)
-    )
-    served_rate = tuple(
-        tuple((a - w) / window for a, w in zip(arow, wrow))
-        for arow, wrow in zip(served, served_w)
-    )
+    served = minus(admitted, backlog)
+    admitted_rate = tuple(tuple(d / window for d in row)
+                          for row in minus(admitted, admitted_w))
+    served_rate = tuple(tuple(d / window for d in row)
+                        for row in minus(served, minus(admitted_w, backlog_w)))
     utility = math.fsum(
         spec.cfg.utility.value(r)
         for row in admitted_rate
         for r in row
         if r > 0.0
-    )
-    backlog_flow = tuple(
-        tuple(a - s for a, s in zip(arow, srow))
-        for arow, srow in zip(admitted, served)
     )
     return TraceMetrics(
         horizon=spec.horizon,
@@ -621,11 +597,11 @@ def _metrics(spec: RunSpec, policy_name: str, warmup: int,
         seed=spec.seed,
         policy_name=policy_name,
         admitted_packets=tuple(tuple(row) for row in admitted),
-        served_packets=tuple(tuple(row) for row in served),
+        served_packets=served,
         admitted_rate=admitted_rate,
         served_rate=served_rate,
-        final_backlog=tuple(sum(row) for row in backlog_flow),
-        final_backlog_flow=backlog_flow,
+        final_backlog=tuple(sum(row) for row in backlog),
+        final_backlog_flow=tuple(tuple(row) for row in backlog),
         utility=utility,
         q_trace=q_trace,
         state_visits=state_visits,
@@ -634,8 +610,24 @@ def _metrics(spec: RunSpec, policy_name: str, warmup: int,
             name: stream_hash(spec.seed, name)
             for name in ("channels", "arrivals", "scheduling", "interleave")
         },
-        trace=trace,
+        trace={} if log is None else _trace(spec.horizon, *log, map(sum, served)),
     )
+
+
+def _trace(horizon: int, arrival_log: list[list[tuple[int, int]]], grants,
+           served) -> dict[str, Any]:
+    """The `record_trace` fields from each queue's arrival log, (flow, slot)
+    pairs in FIFO order, each slot's granted queue (-1: none) and each
+    queue's served count: its departures are the first that many arrivals."""
+    return {
+        "arrival_order": arrival_log,
+        "departure_order": [log[:s] for log, s in zip(arrival_log, served)],
+        "served_by_slot": np.asarray(grants, dtype=np.int8),
+        "arrivals_by_slot": np.column_stack([
+            np.bincount(np.array([t for _, t in log], dtype=np.int64), minlength=horizon)
+            for log in arrival_log
+        ]).astype(np.int32),
+    }
 
 
 # ----- Saturated mode -----
@@ -819,14 +811,12 @@ class StabilityVerdict:
 def detect_stability(
     q_trace: np.ndarray,
     warmup: int | None = None,
-    slope_stable: float = 1e-4,
-    slope_unstable: float = 1e-2,
     backlog_cap: float = 1e4,
 ) -> StabilityVerdict:
     """Classify a backlog trace by its post-warmup least-squares slope.
 
-    stable:   slope <= slope_stable and the backlog never exceeds backlog_cap;
-    unstable: slope >= slope_unstable;
+    stable:   slope <= SLOPE_STABLE and the backlog never exceeds backlog_cap;
+    unstable: slope >= SLOPE_UNSTABLE;
     inconclusive otherwise. `q_trace` is per-slot total backlog (a 2-D
     per-queue trace is summed across queues); warmup defaults to a tenth.
     """
@@ -846,9 +836,9 @@ def detect_stability(
     denom = float(np.dot(t, t))
     slope = float(np.dot(t, tail - tail.mean()) / denom) if denom > 0 else 0.0
     max_backlog = float(tail.max())
-    if slope >= slope_unstable:
+    if slope >= SLOPE_UNSTABLE:
         verdict = "unstable"
-    elif slope <= slope_stable and max_backlog <= backlog_cap:
+    elif slope <= SLOPE_STABLE and max_backlog <= backlog_cap:
         verdict = "stable"
     else:
         verdict = "inconclusive"

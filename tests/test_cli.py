@@ -484,6 +484,35 @@ def test_simulate_trace_csv(tmp_path, capsys):
         q += int(a0) + int(a1) - (1 if int(queue) >= 0 else 0)
 
 
+# two queues of two flows under Poisson arrivals; the literal config (not
+# one made by make_cfg) is hashed into both outputs, as for SMALL_PLAN
+TRACE_CFG = {"beta": 1.0, "M": 20.0, "r_max": 1.5,
+             "utility": {"kind": "log", "weight": 1.0},
+             "queues": [{"flows": [{"p_off": 0.2, "lambda": 0.15},
+                                   {"p_off": 0.5, "lambda": 0.1}]},
+                        {"flows": [{"p_off": 0.3, "lambda": 0.2},
+                                   {"p_off": 0.1, "lambda": 0.05}]}]}
+# sha256 prefixes of `simulate --trace` at 5,000 slots (past one 4,096-slot
+# block), --seed 4: static takes the block path, qfc the per-slot loop
+TRACE_SHA = {
+    "static": ("6ad45b22b945806b", "cc5fcd6b2a524b2f"),  # (trace CSV, summary JSON)
+    "qfc": ("8473862952d8a227", "2988f8b083466b25"),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(TRACE_SHA))
+def test_simulate_trace_bytes_are_pinned(tmp_path, capsys, policy):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(TRACE_CFG))
+    trace, out = tmp_path / "t.csv", tmp_path / "s.json"
+    assert main(["simulate", "--config", str(path), "--policy", policy,
+                 "--arrival-mode", "stochastic", "--horizon", "5000", "--seed", "4",
+                 "--trace", str(trace), "--out", str(out)]) == 0
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in (trace, out))
+    assert digests == TRACE_SHA[policy]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--horizon", "2000", "--trace"],
     ["simulate", "--horizon", "2000", "--out"],
@@ -501,10 +530,13 @@ def test_unusable_output_path_fails_before_the_work(tmp_path, capsys, argv):
 ])
 def test_simulate_fluid_rate_limit(tmp_path, capsys, policy, lambdas, r_max):
     path = write_cfg(tmp_path, "r.json", [[0.2]], lambdas=lambdas, r_max=r_max)
+    out, trace = tmp_path / "s.json", tmp_path / "t.csv"
     assert main(["simulate", "--config", path, "--policy", policy,
-                 "--horizon", "100"]) == 1
+                 "--horizon", "100", "--out", str(out), "--trace", str(trace)]) == 1
     err = _one_error_line(capsys)
     assert "fluid arrivals" in err and "exceeds 700" in err
+    # both outputs were opened before the run failed; neither is left behind
+    assert not out.exists() and not trace.exists()
 
 
 @pytest.mark.parametrize("policy, field", [
@@ -747,12 +779,15 @@ def test_too_many_replicates_is_a_one_line_error(tmp_path, capsys, command, seed
     # fails at once (fig6's pool loop would fill memory slowly instead)
     if command == "sweep":
         plan = write_plan(tmp_path, "p.json", **dict(SMALL_PLAN, seeds=float(seeds)))
-        argv = ["sweep", "--plan", plan]
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--plan", plan, "--out", str(out)]
     else:
+        out = tmp_path / "fig5a.csv"
         argv = ["reproduce-fig", "fig5a", "--seeds", str(seeds), "--out", str(tmp_path)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expect in err and err.count("\n") == 1
+    assert not out.exists()  # no empty CSV that looks like a result
 
 
 # sha256 prefixes of the CSVs at --seeds 2 --horizon 2000 --seed 0, re-pinned

@@ -425,16 +425,19 @@ _LOCKSTEP_CASES = [
 ]
 
 
-@pytest.mark.parametrize("third", [False, True])
-@pytest.mark.parametrize("horizon", [10, 4095, 4096, 4097, 3 * 4096 + 5])
-def test_run_batch_equals_run(horizon, third):
+_HORIZONS = [10, 4095, 4096, 4097, 3 * 4096 + 5]
+
+
+def _assert_batch_equals_run(horizon, third, policy=None):
+    """run_batch on the _LOCKSTEP_CASES of `policy` (all if None) equals run()."""
     warmup = horizon // 3 if third else 0
-    specs = [RunSpec(cfg=make_cfg(rows, M=M, r_max=r_max, beta=beta), policy=pol,
-                     horizon=horizon, warmup=warmup, seed=50 + 7 * i)
-             for i, (rows, pol, M, r_max, beta) in enumerate(_LOCKSTEP_CASES)]
-    batch = run_batch(specs)
+    specs = {i: RunSpec(cfg=make_cfg(rows, M=M, r_max=r_max, beta=beta), policy=pol,
+                        horizon=horizon, warmup=warmup, seed=50 + 7 * i)
+             for i, (rows, pol, M, r_max, beta) in enumerate(_LOCKSTEP_CASES)
+             if policy in (None, pol)}
+    batch = run_batch(list(specs.values()))
     sizes = []
-    for spec, got in zip(specs, batch):
+    for spec, got in zip(specs.values(), batch):
         # the trace changes no metric; it shows which interleaves ran
         ref = run(dataclasses.replace(spec, record_trace=True))
         assert got.q_trace is None and got.trace == {}
@@ -442,10 +445,23 @@ def test_run_batch_equals_run(horizon, third):
         sizes.append(ref.trace["arrivals_by_slot"])
     sizes = np.concatenate([a.ravel() for a in sizes])
     assert (sizes == 2).any() and (sizes >= 3).any()  # 2-packet and larger batches
-    if horizon > 4096:
+    if horizon > 4096 and 1 in specs:
         # the dead-flow max-weight backlog outgrew the FIFO's first capacity
         # (64 entries for this batch) several doublings over
         assert run(specs[1]).q_trace.max() > 1024
+
+
+@pytest.mark.parametrize("third", [False, True])
+@pytest.mark.parametrize("horizon", _HORIZONS)
+def test_run_batch_equals_run(horizon, third):
+    _assert_batch_equals_run(horizon, third)  # qfc and max-weight runs mixed
+
+
+@pytest.mark.parametrize("third", [False, True])
+@pytest.mark.parametrize("horizon", _HORIZONS)
+@pytest.mark.parametrize("policy", ["qfc", "maxweight"])
+def test_single_policy_run_batch_equals_run(policy, horizon, third):
+    _assert_batch_equals_run(horizon, third, policy)
 
 
 # A batch whose arrivals are written in wide windows on most slots: large M
