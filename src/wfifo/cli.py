@@ -20,7 +20,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Any, Callable, Iterator, Optional, Sequence
 
@@ -61,11 +61,6 @@ RECIPE_M = 100.0  # drift-vs-utility constant used by the bundled recipes
 RECIPE_R_MAX = 2.0
 
 _POLICY_CHOICES = ("qfc", "maxweight", "dfc-static", "static")
-
-# fewest qfc and max-weight cells `run_cells` advances in lockstep; a
-# lockstep slot costs about as much as 3 single-run slots (at 10,000 slots,
-# one batch of 3 runs is even with run() for each, of 4 runs 1.3x faster)
-LOCKSTEP_MIN_RUNS = 4
 
 
 def _fmt(x: Any) -> str:
@@ -519,37 +514,22 @@ def run_cells(points: list, policies: Sequence[str], horizon: int, seeds: int,
 
     Replicate j runs with seed master_seed + j, so policies compared under
     one master seed share channel draws. A point is one NetworkConfig, or a
-    list of one config per replicate. Only what `keep` returns of each run
-    is stored, so memory does not grow with runs x horizon.
-
-    With fluid arrivals, the qfc and max-weight cells of every point and
-    replicate run first, together, through one `run_batch` call, if there
-    are at least LOCKSTEP_MIN_RUNS of them; every other cell then runs
-    through `run`, point by point. The results equal one `run` per cell
-    either way. One progress line per point goes to stderr, in point order,
-    once the point's `run` cells are done, so a grid of lockstep cells only
-    prints its lines when the batch ends.
+    list of one config per replicate. Every cell goes through one
+    `run_batch` call, in (point, policy, replicate) order, which picks the
+    cells that run in lockstep; the results equal one `run` per cell either
+    way. Only what `keep` returns of each run is stored, so memory does not
+    grow with runs x horizon. One progress line per point goes to stderr
+    once its cells are done; a lockstep batch runs before the first line.
     """
     cfgs = [point if isinstance(point, list) else [point] * seeds for point in points]
-
-    def spec(cfg: NetworkConfig, policy: str, j: int) -> RunSpec:
-        return RunSpec(cfg=cfg, policy=policy, horizon=horizon, warmup=warmup,
-                       seed=master_seed + j, arrival_mode=arrival_mode)
-
-    lockstep = [p for p in policies
-                if arrival_mode == "fluid" and p in ("qfc", "maxweight")]
-    cells = [(i, p, j) for i, row in enumerate(cfgs) for p in lockstep
-             for j in range(len(row))]
-    if len(cells) < LOCKSTEP_MIN_RUNS:
-        lockstep, cells = [], []
+    batch = run_batch([RunSpec(cfg=cfg, policy=p, horizon=horizon, warmup=warmup,
+                               seed=master_seed + j, arrival_mode=arrival_mode)
+                       for row in cfgs for p in policies for j, cfg in enumerate(row)])
     results: dict[str, list[list[Any]]] = {p: [[] for _ in points] for p in policies}
     t0 = time.perf_counter()
-    for (i, p, _), m in zip(cells, run_batch([spec(cfgs[i][j], p, j) for i, p, j in cells])):
-        results[p][i].append(keep(m))
     for i, row in enumerate(cfgs):
         for p in policies:
-            if p not in lockstep:
-                results[p][i] = [keep(run(spec(cfg, p, j))) for j, cfg in enumerate(row)]
+            results[p][i] = [keep(next(batch)) for _ in row]
         print(f"wfifo: point {i + 1}/{len(points)} done, "
               f"{time.perf_counter() - t0:.1f} s elapsed", file=sys.stderr)
     return results
@@ -587,12 +567,7 @@ def plan_rows(plan: ExperimentPlan, results) -> tuple[list[str], list[list[Any]]
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     plan = ExperimentPlan.load(args.plan)
-    digest = _digest_obj(
-        {"plan": {"config": plan.config, "parameter": plan.parameter,
-                  "values": plan.values, "seeds": plan.seeds,
-                  "policies": plan.policies, "horizon": plan.horizon,
-                  "warmup": plan.warmup, "arrival_mode": plan.arrival_mode}}
-    )
+    digest = _digest_obj({"plan": asdict(plan)})
     with _open_out(args.out) as fh:
         columns, rows = plan_rows(plan, run_plan(plan, args.seed))
         _write_csv(fh, digest, args.seed, plan.horizon, columns, rows)

@@ -1,9 +1,12 @@
 """Lockstep engine: many fluid qfc and max-weight runs advanced together.
 
-`run_batch` gives each run the metrics `sim.run` gives it, seed for seed,
-except that `q_trace` is None: it keeps no per-slot backlog trace, whose
-size would grow with runs x horizon. One numpy step per slot advances every
-run:
+`run_batch` is the entry point for many runs, and the one place that
+decides which of them run in lockstep: groups of at least
+LOCKSTEP_MIN_RUNS fluid qfc and max-weight runs without a trace that share
+a horizon and warmup. A lockstep run gives the metrics `sim.run` gives it,
+seed for seed, except that `q_trace` is None: it keeps no per-slot backlog
+trace, whose size would grow with runs x horizon. One numpy step per slot
+advances every run of a group:
 
 1. read each queue's head-of-line channel from the slot's channel row;
 2. grant the first maximum of Q_n / sum_k p_on**beta (qfc) or Q_n
@@ -31,41 +34,36 @@ are tallied per piece.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .policies import MaxWeightPolicy, Policy, QfcPolicy
 from .sim import (RunSpec, TraceMetrics, _interleave_word, _metrics, _order_batches,
-                  _prepare, _stream)
+                  _prepare, _stream, run)
 
 _PIECE = 1024  # slots per channel draw and state tally
 _WINDOW = 32  # most slots whose arrivals are written to the FIFOs at once
 
 
-def _lockstep_policy(spec: RunSpec, first: RunSpec) -> Policy:
-    """The built policy of a `run_batch` spec, checked as `sim.run` checks
-    it and for what only lockstep needs: fluid arrivals, no trace, qfc or
-    max-weight, and the horizon and warmup of the batch's `first` spec."""
-    if spec.arrival_mode != "fluid" or spec.record_trace:
-        raise ValueError("run_batch: takes fluid-arrival runs without record_trace")
-    named = spec.policy if isinstance(spec.policy, str) else type(spec.policy)
-    if named not in ("qfc", "maxweight", QfcPolicy, MaxWeightPolicy):
-        raise ValueError(f"run_batch: takes qfc and max-weight runs, got {spec.policy!r}")
-    policy, warmup = _prepare(spec)
-    if spec.horizon != first.horizon or warmup != first.resolved_warmup():
-        raise ValueError("run_batch: every spec must share one horizon and warmup")
-    return policy
+# fewest runs `run_batch` advances in lockstep; a lockstep slot costs about
+# as much as 3 single-run slots (at 10,000 slots, one batch of 3 runs is even
+# with run() for each, of 4 runs 1.3x faster)
+LOCKSTEP_MIN_RUNS = 4
 
 
-def run_batch(specs: Sequence[RunSpec]) -> list[TraceMetrics]:
-    """`sim.run` for many fluid qfc and max-weight runs, in lockstep.
+def run_batch(specs: Sequence[RunSpec]) -> Iterator[TraceMetrics]:
+    """Yields run(spec) for each spec, in spec order, equal seed for seed.
 
-    Returns sim.run(spec) for each spec, equal seed for seed, except that
-    `q_trace` is None: no per-slot backlog trace is kept. The specs must
-    share one horizon and one warmup; configs, policies and seeds may
-    differ. Runs are padded to the batch's largest queue and flow counts; a
-    padded queue or flow never admits and is never ON.
+    At the first `next`, the specs lockstep takes (fluid arrivals, no
+    `record_trace`, and policy qfc or max-weight by name or exact type) are
+    checked as `run` checks them and grouped by horizon and warmup; each
+    group of at least LOCKSTEP_MIN_RUNS runs in lockstep, and its results
+    have `q_trace` None. Every other spec runs through `run` when its turn
+    comes, so at most one run's trace is held at a time. Within a group,
+    configs, policies and seeds may differ; runs are padded to the group's
+    largest queue and flow counts, and a padded queue or flow never admits
+    and is never ON.
 
     Per (run, queue) the state is a FIFO buffer of flow ids, a head and a
     tail index into it, and per flow a backlog and an admission count, at
@@ -77,10 +75,20 @@ def run_batch(specs: Sequence[RunSpec]) -> list[TraceMetrics]:
     capacity doubles until it holds twice the largest backlog plus a
     window's most arrivals.
     """
-    if not specs:
-        return []
-    pols = [_lockstep_policy(spec, specs[0]) for spec in specs]
-    return _lockstep(list(specs), pols, specs[0].horizon, specs[0].resolved_warmup())
+    groups: dict[tuple[int, int], list[tuple[int, Policy]]] = {}
+    for i, spec in enumerate(specs):
+        named = spec.policy if isinstance(spec.policy, str) else type(spec.policy)
+        if (spec.arrival_mode == "fluid" and not spec.record_trace
+                and named in ("qfc", "maxweight", QfcPolicy, MaxWeightPolicy)):
+            policy, warmup = _prepare(spec)
+            groups.setdefault((spec.horizon, warmup), []).append((i, policy))
+    done: dict[int, TraceMetrics] = {}
+    for (horizon, warmup), members in groups.items():
+        if len(members) >= LOCKSTEP_MIN_RUNS:
+            idx, pols = zip(*members)
+            done.update(zip(idx, _lockstep([specs[i] for i in idx], list(pols), horizon, warmup)))
+    for i, spec in enumerate(specs):
+        yield done.pop(i) if i in done else run(spec)
 
 
 # most state-counter entries, runs x 2**N x (N + 1) for the largest queue

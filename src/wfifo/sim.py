@@ -65,8 +65,10 @@ loop only moves one head pointer per queue. It reads the streams as the
 per-slot loop does and gives the same metrics seed for seed; the per-slot
 loop stays the reference for every other policy.
 
-`lockstep.run_batch` advances many fluid qfc and max-weight runs at once and
-gives each the metrics `run` gives it, seed for seed, without `q_trace`.
+`lockstep.run_batch` is the entry point for many runs: it yields `run`'s
+metrics for each spec, seed for seed, and advances fluid qfc and max-weight
+runs that share a horizon and warmup at once, in lockstep, without
+`q_trace`.
 """
 
 from __future__ import annotations
@@ -102,11 +104,6 @@ SLOPE_UNSTABLE = 1e-2
 def stream_seed(master_seed: int, name: str) -> int:
     digest = hashlib.sha256(f"{master_seed}:{name}".encode()).digest()
     return int.from_bytes(digest[:16], "big")
-
-
-def stream_hash(master_seed: int, name: str) -> str:
-    """Short tag identifying a derived stream; equal tags mean equal draws."""
-    return hashlib.sha256(f"{master_seed}:{name}".encode()).hexdigest()[:12]
 
 
 def _stream(master_seed: int, name: str) -> np.random.Generator:
@@ -202,7 +199,7 @@ class TraceMetrics:
     final_backlog: tuple[int, ...]
     final_backlog_flow: tuple[tuple[int, ...], ...]
     utility: float
-    # (horizon, n_queues) start-of-slot backlogs; None from lockstep.run_batch
+    # (horizon, n_queues) start-of-slot backlogs; None from a lockstep run
     q_trace: np.ndarray | None
     state_visits: np.ndarray  # (2**N,) post-warmup counts
     state_serves: np.ndarray  # (2**N, N) post-warmup grant counts
@@ -606,8 +603,8 @@ def _metrics(spec: RunSpec, policy_name: str, warmup: int,
         q_trace=q_trace,
         state_visits=state_visits,
         state_serves=state_serves,
-        rng_streams={
-            name: stream_hash(spec.seed, name)
+        rng_streams={  # the top 48 bits of each stream's seed: equal tags, equal draws
+            name: f"{stream_seed(spec.seed, name) >> 80:012x}"
             for name in ("channels", "arrivals", "scheduling", "interleave")
         },
         trace={} if log is None else _trace(spec.horizon, *log, map(sum, served)),
@@ -809,7 +806,7 @@ class StabilityVerdict:
 
 
 def detect_stability(
-    q_trace: np.ndarray,
+    q_trace: np.ndarray | None,
     warmup: int | None = None,
     backlog_cap: float = 1e4,
 ) -> StabilityVerdict:
@@ -820,6 +817,8 @@ def detect_stability(
     inconclusive otherwise. `q_trace` is per-slot total backlog (a 2-D
     per-queue trace is summed across queues); warmup defaults to a tenth.
     """
+    if q_trace is None:
+        raise ValueError("the run kept no backlog trace (a lockstep run of run_batch)")
     q = np.asarray(q_trace)
     if q.ndim == 2:
         q = q.sum(axis=1)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from helpers import dfc_gap_vs_oracle, make_cfg, objective_and_gradient, single_queue_cfg
-from wfifo import RunSpec, SchedulingPolicy, run
+from wfifo import RunSpec, SchedulingPolicy, run, run_batch
 from wfifo.cli import _fig6
 from wfifo.dfc import solve_dfc
 from wfifo.markov import joint_state_hol_prob, single_queue_steady_state
@@ -203,9 +203,10 @@ def test_criterion_06_controller_converges_to_planner_point():
 def test_criterion_07_good_channel_rate_invariant_to_partner():
     # one queue, two flows: however bad flow 2's channel gets, flow 1's
     # optimal rate stays p_on_1 / 2, and the controller holds it there
-    for p2 in [round(0.1 * i, 1) for i in range(1, 10)]:
-        cfg = make_cfg([[0.1, p2]], M=100.0)
-        m = run(RunSpec(cfg=cfg, policy="qfc", horizon=300_000, seed=70))
+    p2s = [round(0.1 * i, 1) for i in range(1, 10)]
+    specs = [RunSpec(cfg=make_cfg([[0.1, p2]], M=100.0), policy="qfc",
+                     horizon=300_000, seed=70) for p2 in p2s]
+    for p2, m in zip(p2s, run_batch(specs)):
         assert m.admitted_rate[0][0] == pytest.approx(0.45, abs=0.01), p2
 
 
@@ -229,10 +230,10 @@ def test_criterion_09_dead_flow_starves_maxweight_only():
 
 def test_criterion_10_fairness_shifts_as_partner_flow_degrades():
     qfc_m1, qfc_m2, mw_m1 = [], [], []
-    for pm2 in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
-        cfg = make_cfg([[0.0, 0.0], [0.0, pm2]], beta=2.0, M=100.0)
-        q = run(RunSpec(cfg=cfg, policy="qfc", horizon=500_000, seed=10))
-        w = run(RunSpec(cfg=cfg, policy="maxweight", horizon=500_000, seed=10))
+    batch = run_batch([RunSpec(cfg=make_cfg([[0.0, 0.0], [0.0, pm2]], beta=2.0, M=100.0),
+                               policy=p, horizon=500_000, seed=10)
+                       for pm2 in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0) for p in ("qfc", "maxweight")])
+    for q, w in zip(batch, batch):  # each point's qfc and max-weight run
         qfc_m1.append(q.served_rate[1][0])
         qfc_m2.append(q.served_rate[1][1])
         mw_m1.append(w.served_rate[1][0])

@@ -15,7 +15,6 @@ from wfifo.cli import (
     _POLICY_CHOICES,
     _UNIT_GRID,
     FIGURES,
-    LOCKSTEP_MIN_RUNS,
     ExperimentPlan,
     _fig8_cfg,
     main,
@@ -24,6 +23,7 @@ from wfifo.cli import (
     run_plan,
 )
 from wfifo.dfc import solve_dfc
+from wfifo.lockstep import LOCKSTEP_MIN_RUNS
 from wfifo.stability import inner_coefficients
 
 FIG7A_ROWS = [[0.1, 0.5], [0.1, 0.5]]
@@ -590,6 +590,11 @@ def test_run_cells_stores_only_what_keep_returns():
     results = run_cells(points, ["qfc", "maxweight"], horizon=50, seeds=3,
                         master_seed=11, keep=lambda m: m.seed)
     assert results == {p: [[11, 12, 13]] * 2 for p in ("qfc", "maxweight")}
+    # a policy named twice keeps one list of replicates, in lockstep or not
+    for policies in (["qfc", "qfc", "maxweight", "maxweight"], ["static", "static"]):
+        twice = run_cells([make_cfg([[0.2]], lambdas=[[0.1]])], policies, horizon=50,
+                          seeds=1, master_seed=11, keep=lambda m: m.seed)
+        assert twice == {p: [[11]] for p in policies}
 
 
 def test_run_cells_routes_fluid_closed_loop_cells_through_run_batch(capsys):

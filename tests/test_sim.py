@@ -18,7 +18,7 @@ from wfifo import (
     static_dfc_policy,
 )
 from wfifo.core import ConfigError
-from wfifo.policies import Policy, StaticPolicy, build_policy
+from wfifo.policies import Policy, QfcPolicy, StaticPolicy, build_policy
 from wfifo import lockstep, sim
 from wfifo.sim import (
     _MIX_U64,
@@ -435,7 +435,7 @@ def _assert_batch_equals_run(horizon, third, policy=None):
                         horizon=horizon, warmup=warmup, seed=50 + 7 * i)
              for i, (rows, pol, M, r_max, beta) in enumerate(_LOCKSTEP_CASES)
              if policy in (None, pol)}
-    batch = run_batch(list(specs.values()))
+    batch = list(run_batch(list(specs.values())))
     sizes = []
     for spec, got in zip(specs.values(), batch):
         # the trace changes no metric; it shows which interleaves ran
@@ -485,7 +485,7 @@ def test_run_batch_equals_run_in_wide_windows(horizon, monkeypatch):
     specs = [RunSpec(cfg=make_cfg(rows, M=M, r_max=r_max, beta=beta), policy=pol,
                      horizon=horizon, warmup=517, seed=90 + 11 * i)
              for i, (rows, pol, M, r_max, beta) in enumerate(_WIDE_CASES)]
-    batch = run_batch(specs)
+    batch = list(run_batch(specs))
     refs = [run(spec) for spec in specs]
     for got, ref in zip(batch, refs):
         assert got.q_trace is None
@@ -505,27 +505,64 @@ def test_run_batch_runs_a_batch_too_large_for_its_state_counters_in_parts(monkey
     specs = [RunSpec(cfg=make_cfg(rows, M=M, r_max=r_max, beta=beta), policy=pol,
                      horizon=500, seed=50 + 7 * i)
              for i, (rows, pol, M, r_max, beta) in enumerate(_LOCKSTEP_CASES[:5])]
-    whole = run_batch(specs)
+    whole = list(run_batch(specs))
     monkeypatch.setattr(lockstep, "_STATE_ENTRIES_MAX", 64)  # two runs of 3 queues
     for got, want in zip(run_batch(specs), whole):
         _assert_same_metrics(got, want)
 
 
-def test_run_batch_takes_only_fluid_qfc_and_maxweight_runs():
-    cfg = make_cfg([[0.2, 0.5]], lambdas=[[0.1, 0.2]])
-    spec = RunSpec(cfg=cfg, policy="qfc", horizon=100, warmup=10)
-    assert run_batch([]) == []
-    for bad in (dataclasses.replace(spec, arrival_mode="stochastic"),
-                dataclasses.replace(spec, policy="static"),
-                dataclasses.replace(spec, policy="dfc-static"),
-                dataclasses.replace(spec, policy=build_policy(cfg, "static")),
-                dataclasses.replace(spec, record_trace=True),
-                dataclasses.replace(spec, horizon=200),
-                dataclasses.replace(spec, warmup=20)):
-        with pytest.raises(ValueError):
-            run_batch([spec, bad])
-    # a shared warmup may be given or left to its default
-    assert len(run_batch([spec, dataclasses.replace(spec, warmup=None)])) == 2
+def test_run_batch_routes_each_spec_and_yields_in_spec_order(monkeypatch):
+    # lockstep takes the group of 5 fluid qfc and max-weight runs of horizon
+    # 400 and warmup 40 (given, or its default), names or a built QfcPolicy;
+    # the 3 of horizon 300 are too few, and every other spec is one lockstep
+    # cannot take, so each of those runs through run()
+    cfg = make_cfg([[0.2, 0.5], [0.3]], lambdas=[[0.1, 0.2], [0.3]], M=50.0)
+    one = make_cfg([[0.1, 0.6, 0.3]], lambdas=[[0.2, 0.1, 0.1]], M=20.0, r_max=3.5)
+    base = RunSpec(cfg=cfg, policy="qfc", horizon=400, warmup=40, seed=5)
+    short = dataclasses.replace(base, horizon=300, warmup=None)
+    specs = [
+        base,
+        dataclasses.replace(short, policy="maxweight"),
+        dataclasses.replace(base, arrival_mode="stochastic"),
+        dataclasses.replace(base, cfg=one, policy="maxweight", warmup=None, seed=6),
+        dataclasses.replace(base, policy="static"),
+        dataclasses.replace(short, cfg=one, seed=7),
+        dataclasses.replace(base, policy=QfcPolicy(one), cfg=one, seed=8),
+        dataclasses.replace(base, policy="dfc-static"),
+        dataclasses.replace(base, record_trace=True),
+        dataclasses.replace(base, policy=_Delegate(QfcPolicy(cfg))),
+        dataclasses.replace(base, policy="maxweight", seed=9),
+        dataclasses.replace(short, seed=10),
+        dataclasses.replace(base, cfg=one, seed=11),
+    ]
+    grouped = {0, 3, 6, 10, 12}
+    refs = [run(spec) for spec in specs]
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return run(spec)
+
+    monkeypatch.setattr(lockstep, "run", counting)
+    batch = run_batch(specs)
+    assert not calls  # nothing runs before the first next
+    for i, (spec, ref) in enumerate(zip(specs, refs)):
+        got = next(batch)
+        # run() is called only for the spec yielded, when its turn comes
+        assert calls == [specs[j] for j in range(i + 1) if j not in grouped]
+        assert (got.q_trace is None) == (i in grouped), i
+        if i in grouped:
+            got = dataclasses.replace(got, q_trace=ref.q_trace)
+        _assert_same_metrics(got, ref)
+    assert next(batch, None) is None
+    assert list(run_batch([])) == []
+    # an invalid warmup raises, in a lockstep group, alone, or in run()
+    for bad in (dataclasses.replace(base, warmup=400), dataclasses.replace(base, warmup=-1),
+                dataclasses.replace(base, arrival_mode="stochastic", warmup=400)):
+        with pytest.raises(ValueError, match="warmup"):
+            list(run_batch([bad]))
+        with pytest.raises(ValueError, match="warmup"):
+            list(run_batch(specs[:1] + [bad] + specs[10:]))
 
 
 @pytest.mark.parametrize("policy, field", [("static", "lambda"), ("qfc", "r_max"),
@@ -540,7 +577,7 @@ def test_fluid_rates_are_capped_too(policy, field):
         run(spec)
     if policy != "static":
         with pytest.raises(ConfigError, match="fluid arrivals: r_max"):
-            run_batch([spec])
+            list(run_batch([spec]))
     ok = dataclasses.replace(spec, cfg=single_queue_cfg(
         [0.2], lambdas=[700.0] if field == "lambda" else None, r_max=700.0))
     assert run(ok).horizon == 100
@@ -613,7 +650,7 @@ def test_interleaving_opens_no_arrivals_stream(monkeypatch):
     specs = [RunSpec(cfg=make_cfg(rows, M=M, r_max=r_max, beta=beta), policy=pol,
                      horizon=300, seed=50 + 7 * i)
              for i, (rows, pol, M, r_max, beta) in enumerate(_LOCKSTEP_CASES)]
-    run_batch(specs)
+    list(run_batch(specs))
     assert opened and set(opened) == {"channels"}
     cfg = make_cfg([[0.1, 0.2, 0.3]])
     pol = serve_if_on_policy(cfg, [[0.9, 0.8, 2.3]])
@@ -744,6 +781,8 @@ def test_detector_sums_per_queue_traces():
 
 
 def test_detector_input_validation():
+    with pytest.raises(ValueError, match="kept no backlog trace"):
+        detect_stability(None)  # the q_trace of a lockstep result
     with pytest.raises(ValueError, match="at least 10"):
         detect_stability(np.zeros(5))
     with pytest.raises(ValueError, match="warmup"):
