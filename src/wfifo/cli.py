@@ -45,7 +45,6 @@ from .sim import (
     MIN_VERDICT_SLOTS,
     RunSpec,
     check_poisson_rates,
-    detect_stability,
     run,
     stream_seed,
 )
@@ -380,7 +379,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     with _open_out(args.out) as out, _open_out(args.trace, stdout=False) as trace:
         metrics = run(spec)
-        verdict = detect_stability(metrics.q_trace, warmup=metrics.warmup)
+        verdict = metrics.stability()
         out.write(json.dumps(_summary_dict(spec, metrics, verdict), indent=2) + "\n")
         if trace is not None:
             _write_trace_csv(trace, cfg, metrics)

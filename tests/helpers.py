@@ -1,15 +1,18 @@
 """Shared builders and test-only reference oracles for the test suite."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from wfifo import FlowSpec, NetworkConfig, QueueSpec, SchedulingPolicy
+from wfifo import FlowSpec, NetworkConfig, QueueSpec, RunSpec, SchedulingPolicy
 from wfifo.core import OFF, ON, state_bit
 from wfifo.dfc import LOG_FLOOR, _objective_const, _scales_and_gradient, _weights, solve_dfc
 from wfifo.markov import SteadyState, state_marginal
-from wfifo.sim import _BLOCK, SaturatedMetrics, _stream
-from wfifo.stability import inner_coefficients
+from wfifo.policies import StaticPolicy, serve_if_on_policy
+from wfifo.sim import (_BLOCK, SLOPE_STABLE, SLOPE_UNSTABLE, SaturatedMetrics,
+                       StabilityVerdict, _stream)
+from wfifo.stability import best_policy_search, inner_coefficients, sweep_two_queue_boundary
 
 
 def make_cfg(p_off_rows, lambdas=None, beta=1.0, M=1000.0, r_max=2.0):
@@ -261,3 +264,132 @@ def run_saturated_reference(cfg: NetworkConfig, hol_mix: list[list[float]],
         p_hol=tuple(tuple(c / horizon for c in row) for row in hol_count),
         joint=np.asarray(joint, dtype=float) / horizon,
     )
+
+
+# ----- stability verdicts -----
+
+
+def detect_stability_float(q_trace, warmup=None, backlog_cap=1e4) -> StabilityVerdict:
+    """The float64 least-squares detector that `sim.detect_stability`
+    replaced: centred slot indexes dotted with the centred trace."""
+    q = np.asarray(q_trace)
+    if q.ndim == 2:
+        q = q.sum(axis=1)
+    w = q.size // 10 if warmup is None else warmup
+    tail = q[w:].astype(float)
+    t = np.arange(tail.size, dtype=float)
+    t -= t.mean()
+    denom = float(np.dot(t, t))
+    slope = float(np.dot(t, tail - tail.mean()) / denom) if denom > 0 else 0.0
+    max_backlog = float(tail.max())
+    if slope >= SLOPE_UNSTABLE:
+        verdict = "unstable"
+    elif slope <= SLOPE_STABLE and max_backlog <= backlog_cap:
+        verdict = "stable"
+    else:
+        verdict = "inconclusive"
+    return StabilityVerdict(verdict=verdict, slope=slope, max_backlog=max_backlog)
+
+
+def _window(q_trace, warmup) -> list[int]:
+    """The per-slot total backlogs of [warmup, len), as Python ints."""
+    q = np.asarray(q_trace)
+    rows = q.tolist()
+    return [sum(map(int, row)) if q.ndim == 2 else int(row) for row in rows[warmup:]]
+
+
+def backlog_sums_reference(q_trace, warmup) -> tuple[int, int, int]:
+    """(sum q, sum t * q, max q) over [warmup, len), t from warmup."""
+    y = _window(q_trace, warmup)
+    return sum(y), sum(t * v for t, v in enumerate(y)), max(y)
+
+
+def exact_slope(q_trace, warmup) -> Fraction:
+    """The least-squares slope of the total backlog over [warmup, len), in
+    rational arithmetic from its definition."""
+    y = _window(q_trace, warmup)
+    n = len(y)
+    if n < 2:
+        return Fraction(0)
+    t_bar, y_bar = Fraction(n - 1, 2), Fraction(sum(y), n)
+    return (sum((t - t_bar) * (v - y_bar) for t, v in enumerate(y))
+            / sum((t - t_bar) ** 2 for t in range(n)))
+
+
+# ----- the boundary pools of criteria 02 and 04 -----
+
+
+def boundary_single_queue(rng):
+    """Random single-queue instance with rates exactly on the boundary.
+
+    Rates are u_k * p_on_k / sum(u), which makes the blocking-adjusted load
+    sum(lam / p_on) equal one by construction. Instances with a tiny total
+    rate are resampled: scaling those 5% past the boundary produces growth
+    too slow for the detector's unstable threshold to see.
+    """
+    while True:
+        K = int(rng.integers(1, 6))
+        p_off = rng.uniform(0.0, 0.9, K)
+        u = rng.uniform(0.2, 1.0, K)
+        lam = u * (1.0 - p_off) / u.sum()
+        if lam.sum() >= 0.3:
+            return p_off.tolist(), lam.tolist()
+
+
+def rate_slack(margin):
+    """Worst per-flow service slack, ignoring the grant-mass constraints.
+
+    The grant rows sit at zero whenever a state allocates its whole slot,
+    which every sensible policy does, so only the rate keys say how far the
+    instance is from the boundary.
+    """
+    return min(v for key, v in margin.slacks.items() if key.startswith("rate"))
+
+
+def criterion02_runs(horizon):
+    """Criterion 02's 20 runs, as (instance, scale, expected verdict) labels
+    and specs: 10 random single-queue boundary instances, each scaled 0.95x
+    and 1.05x, under serve-if-on with Poisson arrivals."""
+    rng = np.random.default_rng(8252)
+    labels, specs = [], []
+    for i in range(10):
+        p_off, lam = boundary_single_queue(rng)
+        cfg = make_cfg([p_off])
+        for scale, expected in ((0.95, "stable"), (1.05, "unstable")):
+            rates = [[scale * l for l in lam]]
+            labels.append((i, scale, expected))
+            specs.append(RunSpec(cfg=cfg, policy=serve_if_on_policy(cfg, rates),
+                                 horizon=horizon, seed=100 + i,
+                                 arrival_mode="stochastic"))
+    return labels, specs
+
+
+def criterion04_runs(horizon):
+    """Criterion 04's 20 runs, as (point, expected verdict) labels and
+    specs: 10 points of the two-queue boundary whose 0.95x and 1.05x
+    perturbations are cleanly inside and outside the region, each under the
+    best static policy for its rates, with Poisson arrivals."""
+    cfg = make_cfg([[0.6, 0.1], [0.7]])
+    picked = []
+    for l1, l2, cap in sweep_two_queue_boundary((0.6, 0.1), 0.7, grid=21):
+        if min(l1, l2, cap) <= 0.0 or l1 + l2 + cap < 0.35:
+            continue
+        lo = [[0.95 * l1, 0.95 * l2], [0.95 * cap]]
+        hi = [[1.05 * l1, 1.05 * l2], [1.05 * cap]]
+        pol_lo, m_lo = best_policy_search(cfg, lo)
+        pol_hi, m_hi = best_policy_search(cfg, hi)
+        # keep points whose 5% perturbations are cleanly inside/outside,
+        # so the detector's thresholds are reachable within the horizon
+        if rate_slack(m_lo) >= 0.005 and rate_slack(m_hi) <= -0.01:
+            picked.append((lo, pol_lo, hi, pol_hi))
+    points = picked[:: max(1, len(picked) // 10)][:10]
+    assert len(points) == 10
+    labels, specs = [], []
+    for i, (lo, pol_lo, hi, pol_hi) in enumerate(points):
+        for rates, pol, expected in ((lo, pol_lo, "stable"),
+                                     (hi, pol_hi, "unstable")):
+            labels.append((i, expected))
+            specs.append(RunSpec(cfg=cfg, policy=StaticPolicy(cfg, rates, pol.tau),
+                                 horizon=horizon, seed=400 + i,
+                                 arrival_mode="stochastic"))
+    return labels, specs

@@ -18,47 +18,23 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import dfc_gap_vs_oracle, make_cfg, objective_and_gradient, single_queue_cfg
+from helpers import (
+    criterion02_runs,
+    criterion04_runs,
+    dfc_gap_vs_oracle,
+    make_cfg,
+    objective_and_gradient,
+    single_queue_cfg,
+)
 from wfifo import RunSpec, SchedulingPolicy, run, run_batch
 from wfifo.cli import _fig6
 from wfifo.dfc import solve_dfc
 from wfifo.markov import joint_state_hol_prob, single_queue_steady_state
-from wfifo.policies import Policy, StaticPolicy, serve_if_on_policy
-from wfifo.sim import detect_stability, run_saturated
-from wfifo.stability import (
-    best_policy_search,
-    inner_coefficients,
-    sweep_two_queue_boundary,
-)
+from wfifo.policies import Policy
+from wfifo.sim import run_saturated
+from wfifo.stability import inner_coefficients
 
 FIG7A_ROWS = [[0.1, 0.5], [0.1, 0.5]]
-
-
-def _rate_slack(margin):
-    """Worst per-flow service slack, ignoring the grant-mass constraints.
-
-    The grant rows sit at zero whenever a state allocates its whole slot,
-    which every sensible policy does, so only the rate keys say how far the
-    instance is from the boundary.
-    """
-    return min(v for key, v in margin.slacks.items() if key.startswith("rate"))
-
-
-def _boundary_single_queue(rng):
-    """Random single-queue instance with rates exactly on the boundary.
-
-    Rates are u_k * p_on_k / sum(u), which makes the blocking-adjusted load
-    sum(lam / p_on) equal one by construction. Instances with a tiny total
-    rate are resampled: scaling those 5% past the boundary produces growth
-    too slow for the detector's unstable threshold to see.
-    """
-    while True:
-        K = int(rng.integers(1, 6))
-        p_off = rng.uniform(0.0, 0.9, K)
-        u = rng.uniform(0.2, 1.0, K)
-        lam = u * (1.0 - p_off) / u.sum()
-        if lam.sum() >= 0.3:
-            return p_off.tolist(), lam.tolist()
 
 
 def test_criterion_01_saturated_runs_match_closed_forms():
@@ -80,19 +56,12 @@ def test_criterion_01_saturated_runs_match_closed_forms():
 
 
 def test_criterion_02_boundary_classification_single_queue():
-    rng = np.random.default_rng(8252)
+    labels, specs = criterion02_runs(horizon=1_000_000)
     wrong = []
-    for i in range(10):
-        p_off, lam = _boundary_single_queue(rng)
-        for scale, expected in ((0.95, "stable"), (1.05, "unstable")):
-            rates = [[scale * l for l in lam]]
-            cfg = single_queue_cfg(p_off)
-            spec = RunSpec(cfg=cfg, policy=serve_if_on_policy(cfg, rates),
-                           horizon=1_000_000, seed=100 + i,
-                           arrival_mode="stochastic")
-            got = detect_stability(run(spec).q_trace)
-            if got.verdict != expected:
-                wrong.append((i, scale, got.verdict, got.slope))
+    for (i, scale, expected), m in zip(labels, run_batch(specs)):
+        got = m.stability()
+        if got.verdict != expected:
+            wrong.append((i, scale, got.verdict, got.slope))
     assert not wrong, f"misclassified boundary instances: {wrong}"
 
 
@@ -112,32 +81,12 @@ def test_criterion_03_two_queue_joint_distribution():
 
 
 def test_criterion_04_two_queue_boundary_points():
-    cfg = make_cfg([[0.6, 0.1], [0.7]])
-    picked = []
-    for l1, l2, cap in sweep_two_queue_boundary((0.6, 0.1), 0.7, grid=21):
-        if min(l1, l2, cap) <= 0.0 or l1 + l2 + cap < 0.35:
-            continue
-        lo = [[0.95 * l1, 0.95 * l2], [0.95 * cap]]
-        hi = [[1.05 * l1, 1.05 * l2], [1.05 * cap]]
-        pol_lo, m_lo = best_policy_search(cfg, lo)
-        pol_hi, m_hi = best_policy_search(cfg, hi)
-        # keep points whose 5% perturbations are cleanly inside/outside,
-        # so the detector's thresholds are reachable within the horizon
-        if _rate_slack(m_lo) >= 0.005 and _rate_slack(m_hi) <= -0.01:
-            picked.append((lo, pol_lo, hi, pol_hi))
-    points = picked[:: max(1, len(picked) // 10)][:10]
-    assert len(points) == 10
-
+    labels, specs = criterion04_runs(horizon=1_000_000)
     wrong = []
-    for i, (lo, pol_lo, hi, pol_hi) in enumerate(points):
-        for rates, pol, expected in ((lo, pol_lo, "stable"),
-                                     (hi, pol_hi, "unstable")):
-            spec = RunSpec(cfg=cfg, policy=StaticPolicy(cfg, rates, pol.tau),
-                           horizon=1_000_000, seed=400 + i,
-                           arrival_mode="stochastic")
-            got = detect_stability(run(spec).q_trace)
-            if got.verdict != expected:
-                wrong.append((i, expected, got.verdict, got.slope))
+    for (i, expected), m in zip(labels, run_batch(specs)):
+        got = m.stability()
+        if got.verdict != expected:
+            wrong.append((i, expected, got.verdict, got.slope))
     assert not wrong, f"misclassified boundary points: {wrong}"
 
 
@@ -188,7 +137,7 @@ def test_criterion_06_controller_converges_to_planner_point():
         # the boundedness cap scales with M instead of the default
         flows = sum(cfg.n_flows(n) for n in range(cfg.n_queues))
         cap = max(1e4, 4.0 * cfg.M * flows)
-        verdict = detect_stability(m.q_trace, backlog_cap=cap)
+        verdict = m.stability(backlog_cap=cap)
         assert verdict.verdict == "stable", (label, verdict)
         if label == "single":
             gaps[1000] = abs(m.utility - sol.objective)

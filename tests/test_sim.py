@@ -5,7 +5,17 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from helpers import make_cfg, run_saturated_reference, saturated_steady_state, single_queue_cfg
+from helpers import (
+    backlog_sums_reference,
+    criterion02_runs,
+    criterion04_runs,
+    detect_stability_float,
+    exact_slope,
+    make_cfg,
+    run_saturated_reference,
+    saturated_steady_state,
+    single_queue_cfg,
+)
 from wfifo import (
     RunSpec,
     detect_stability,
@@ -370,9 +380,28 @@ def test_open_loop_block_path_equals_per_slot_loop(mode, horizon):
         fast = run(spec)
         ref = run(dataclasses.replace(spec, policy=_Delegate(pol)))
         _assert_same_metrics(fast, ref)
+        # both engines stream the backlog sums of their own traces
+        assert fast.backlog_sums == backlog_sums_reference(fast.q_trace, fast.warmup)
+        assert fast.stability() == detect_stability(fast.q_trace, fast.warmup)
         multi += int((fast.trace["arrivals_by_slot"] >= 3).sum())
     if horizon > 10:
         assert multi > 0  # batches of 3+ packets were interleaved
+
+
+@pytest.mark.parametrize("third", [False, True])
+@pytest.mark.parametrize("mode", ["fluid", "stochastic"])
+@pytest.mark.parametrize("horizon", [10, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_open_loop_run_batch_equals_run(horizon, mode, third):
+    # three seeds of each open-loop case, N = 1-4, make one lockstep group
+    specs = [RunSpec(cfg=cfg, policy=pol, horizon=horizon, seed=40 + i + 100 * j,
+                     warmup=horizon // 3 if third else 0, arrival_mode=mode)
+             for j in range(3) for i, (cfg, pol) in enumerate(_open_loop_cases())]
+    assert len(specs) >= lockstep.OPEN_LOCKSTEP_MIN_RUNS
+    for spec, got in zip(specs, run_batch(specs)):
+        ref = run(spec)
+        assert got.q_trace is None
+        _assert_same_metrics(dataclasses.replace(got, q_trace=ref.q_trace), ref)
+        assert got.backlog_sums == backlog_sums_reference(ref.q_trace, ref.warmup)
 
 
 @pytest.mark.parametrize("mode", ["fluid", "stochastic"])
@@ -513,13 +542,25 @@ def test_run_batch_runs_a_batch_too_large_for_its_state_counters_in_parts(monkey
 
 def test_run_batch_routes_each_spec_and_yields_in_spec_order(monkeypatch):
     # lockstep takes the group of 5 fluid qfc and max-weight runs of horizon
-    # 400 and warmup 40 (given, or its default), names or a built QfcPolicy;
-    # the 3 of horizon 300 are too few, and every other spec is one lockstep
-    # cannot take, so each of those runs through run()
+    # 400 and warmup 40 (given, or its default), names or a built QfcPolicy,
+    # and the open-loop group below; the 3 closed-loop runs of horizon 300
+    # are too few, and so are the open-loop ones, and every other spec is one
+    # lockstep cannot take, so each of those runs through run()
     cfg = make_cfg([[0.2, 0.5], [0.3]], lambdas=[[0.1, 0.2], [0.3]], M=50.0)
     one = make_cfg([[0.1, 0.6, 0.3]], lambdas=[[0.2, 0.1, 0.1]], M=20.0, r_max=3.5)
     base = RunSpec(cfg=cfg, policy="qfc", horizon=400, warmup=40, seed=5)
     short = dataclasses.replace(base, horizon=300, warmup=None)
+    # built static policies, grouped as open-loop runs in either arrival mode:
+    # OPEN_LOCKSTEP_MIN_RUNS of horizon 400 (warmup 40, given or by default),
+    # and one fewer of horizon 300
+    static = [serve_if_on_policy(cfg, [[0.1, 0.2], [0.3]]),
+              StaticPolicy(one, [[0.5, 0.1, 0.2]], [[0.0], [1.0]])]
+    n_open = lockstep.OPEN_LOCKSTEP_MIN_RUNS
+    opened = [dataclasses.replace(base, cfg=static[k % 2].cfg, policy=static[k % 2],
+                                  warmup=None if k % 3 else 40, seed=20 + k,
+                                  arrival_mode=("fluid", "stochastic")[k % 2])
+              for k in range(n_open)]
+    too_few = [dataclasses.replace(spec, horizon=300, warmup=None) for spec in opened[1:]]
     specs = [
         base,
         dataclasses.replace(short, policy="maxweight"),
@@ -534,8 +575,8 @@ def test_run_batch_routes_each_spec_and_yields_in_spec_order(monkeypatch):
         dataclasses.replace(base, policy="maxweight", seed=9),
         dataclasses.replace(short, seed=10),
         dataclasses.replace(base, cfg=one, seed=11),
-    ]
-    grouped = {0, 3, 6, 10, 12}
+    ] + [x for pair in zip(opened, too_few) for x in pair] + opened[-1:]
+    grouped = {0, 3, 6, 10, 12} | set(range(13, len(specs), 2))  # the opened ones
     refs = [run(spec) for spec in specs]
     calls = []
 
@@ -787,3 +828,88 @@ def test_detector_input_validation():
         detect_stability(np.zeros(5))
     with pytest.raises(ValueError, match="warmup"):
         detect_stability(np.zeros(100), warmup=100)
+
+
+def _int_trace(n, lo, hi, seed, queues=None):
+    shape = n if queues is None else (n, queues)
+    return np.random.default_rng(seed).integers(lo, hi, shape, dtype=np.int64).astype(np.int32)
+
+
+@pytest.mark.parametrize("queues", [None, 2])
+@pytest.mark.parametrize("n, warmup", [(4095, 0), (4096, 0), (4097, 0), (20_000, 3_000),
+                                       (3 * 4096 + 5, 4095), (10, 9), (10, 8)])
+def test_detector_slope_is_the_exact_slope_rounded_once(n, warmup, queues):
+    # windows at the reduction's block size -1, +0, +1, across block edges,
+    # and of 1 and 2 slots; 1-D and per-queue traces
+    q = _int_trace(n, 0, 1000, n + warmup, queues)
+    got = detect_stability(q, warmup=warmup)
+    assert got.slope == float(exact_slope(q, warmup))
+    assert got.max_backlog == float(backlog_sums_reference(q, warmup)[2])
+    if n - warmup == 2:
+        assert got.slope == float(int(q[-1].sum()) - int(q[-2].sum()))
+    if n - warmup == 1:
+        assert got.slope == 0.0
+
+
+@pytest.mark.parametrize("queues", [None, 2])
+def test_detector_is_exact_near_int32_limits(queues):
+    # totals near 2**31 a queue (2**32 across two) over a long window: the
+    # sum of t * q passes 2**63, and a float64 dot rounds it
+    top = 2**31 - 1
+    q = _int_trace(100_000, top - 50, top, 31, queues)
+    q[::7] -= 10  # a sawtooth on the flat top
+    got = detect_stability(q, warmup=5_000, backlog_cap=math.inf)
+    want = exact_slope(q, 5_000)
+    assert got.slope == float(want)
+    assert backlog_sums_reference(q, 5_000)[1] > 2**63
+    assert got.max_backlog == float(backlog_sums_reference(q, 5_000)[2])
+    with pytest.raises(ValueError, match="below 2\\*\\*40"):
+        detect_stability(np.full(100, 2**40, dtype=np.int64))
+
+
+def test_detector_holds_one_block_at_a_time():
+    import tracemalloc
+
+    q = _int_trace(1_000_000, 0, 50_000, 5, 2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        detect_stability(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak  # the trace itself is 8 MB
+
+
+def test_detector_slope_does_not_depend_on_blas_threads():
+    import os
+    import subprocess
+    import sys
+
+    code = ("import numpy as np; from wfifo.sim import detect_stability; "
+            "q = np.random.default_rng(3).integers(0, 100, 200_000).cumsum() % 5000; "
+            "print(detect_stability(q.astype(np.int32)).slope.hex())")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    slopes = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        slopes.add(out.stdout.strip())
+    assert len(slopes) == 1, slopes
+
+
+@pytest.mark.parametrize("pool", [criterion02_runs, criterion04_runs])
+def test_streamed_verdicts_equal_the_float_detector_on_the_criterion_pools(pool):
+    # the criterion runs at a tenth of their horizon: every verdict equals
+    # the float detector's on the run's trace, and its slope is within
+    # 1e-15 packets per slot of the float one (the float detector's own
+    # rounding is about n * 1e-16 of the backlog's scale over n slots)
+    _, specs = pool(horizon=100_000)
+    for spec in specs:
+        m = run(spec)
+        got, old = m.stability(), detect_stability_float(m.q_trace)
+        assert got.verdict == old.verdict
+        assert got.max_backlog == old.max_backlog
+        assert abs(got.slope - old.slope) <= 1e-15, (got.slope, old.slope)
