@@ -1,17 +1,12 @@
-"""Lockstep engines: many runs of one horizon and warmup advanced together.
+"""Lockstep engine: many fluid qfc and max-weight runs advanced together.
 
 `run_batch` is the entry point for many runs, and the one place that
 decides which of them run in lockstep: groups of at least
-LOCKSTEP_MIN_RUNS fluid qfc and max-weight runs (the closed-loop engine),
-or of at least OPEN_LOCKSTEP_MIN_RUNS runs of a `StaticPolicy` (the
-open-loop engine), without a trace, that share a horizon and warmup. A
-lockstep run gives the metrics `sim.run` gives it, seed for seed, except
-that `q_trace` is None: it keeps no per-slot backlog trace, whose size
-would grow with runs x horizon. Its `backlog_sums`, from which
-`TraceMetrics.stability` gives the verdict, are reduced a piece or block
-of slots at a time from the counts the engine keeps anyway.
-
-Closed loop: one numpy step per slot advances every run of a group:
+LOCKSTEP_MIN_RUNS fluid qfc and max-weight runs without a trace that share
+a horizon and warmup. A lockstep run gives the metrics `sim.run` gives it,
+seed for seed, except that `q_trace` is None: it keeps no per-slot backlog
+trace, whose size would grow with runs x horizon. One numpy step per slot
+advances every run of a group:
 
 1. read each queue's head-of-line channel from the slot's channel row;
 2. grant the first maximum of Q_n / sum_k p_on**beta (qfc) or Q_n
@@ -29,29 +24,23 @@ to the FIFOs: flows in index order, each repeated by its count, and every
 same-slot batch of the window, of every run, ordered by its interleave keys
 in one `sim._order_batches` call. Admissions and backlogs are the only
 per-flow counts: `sim._metrics` derives the served ones as their
-difference, so no FIFO entry is ever counted. Each run reads "channels" as
-`sim.run` does, in (1024, F) pieces, which are the rows of its (4096, F)
-blocks in order, and opens no other stream: fluid runs draw no counts, and
-the grants draw nothing. State visits, grants and backlog sums are tallied
-per piece, the sums from each run's backlog at the piece's start and the
-packets logged and served in each slot.
+difference, so no FIFO entry is ever counted.
 
-Open loop: admission does not depend on the state, so each run's blocks of
-draws are read as `sim.run`'s block path reads them, every batch of a block
-of every run is ordered in one `_order_batches` call, and the slot loop
-moves one head pointer per (run, queue) (see `_lockstep_open`).
+Each run reads "channels" as `sim.run` does, in (1024, F) pieces, which are
+the rows of its (4096, F) blocks in order, and opens no other stream: fluid
+runs draw no counts, and the grants draw nothing. State visits and grants
+are tallied per piece.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .policies import MaxWeightPolicy, Policy, QfcPolicy, StaticPolicy
-from .sim import (_BLOCK, RunSpec, TraceMetrics, _add_sums, _interleave_word, _metrics,
-                  _open_loop_draws, _order_batches, _prepare, _stream, run)
+from .policies import MaxWeightPolicy, Policy, QfcPolicy
+from .sim import (RunSpec, TraceMetrics, _interleave_word, _metrics, _order_batches,
+                  _prepare, _stream, run)
 
 _PIECE = 1024  # slots per channel draw and state tally
 _WINDOW = 32  # most slots whose arrivals are written to the FIFOs at once
@@ -61,63 +50,43 @@ _WINDOW = 32  # most slots whose arrivals are written to the FIFOs at once
 # as much as 3 single-run slots (at 10,000 slots, one batch of 3 runs is even
 # with run() for each, of 4 runs 1.3x faster)
 LOCKSTEP_MIN_RUNS = 4
-# the same for open-loop runs, whose block path is faster: at 30,000 slots of
-# criterion 02/04-shaped runs, 8 runs in lockstep took 1.2-1.6x the CPU time
-# of run() for each, 12 runs 0.8-1.5x, 16 runs 0.9-1.3x, 24 runs 0.6-1.1x
-OPEN_LOCKSTEP_MIN_RUNS = 16
 
 
 def run_batch(specs: Sequence[RunSpec]) -> Iterator[TraceMetrics]:
     """Yields run(spec) for each spec, in spec order, equal seed for seed.
 
-    At the first `next`, the specs lockstep takes are checked as `run`
-    checks them and grouped by engine, horizon and warmup: fluid runs of
-    policy qfc or max-weight (by name or exact type) go to the closed-loop
-    engine `_lockstep`, runs of an exact `StaticPolicy` in either arrival
-    mode to the open-loop engine `_lockstep_open`, and neither takes a
-    `record_trace` run. A closed-loop group of at least LOCKSTEP_MIN_RUNS
-    runs, or an open-loop one of at least OPEN_LOCKSTEP_MIN_RUNS, runs in
-    lockstep; its results have `q_trace` None and the `backlog_sums` `run`
-    gives, so `TraceMetrics.stability` gives their verdicts. Every other
-    spec runs through `run` when its turn comes, so at most one
-    run's trace is held at a time. Within a group, configs, policies and
-    seeds may differ; runs are padded to the group's largest queue and flow
-    counts, and a padded queue or flow never admits and is never ON.
+    At the first `next`, the specs lockstep takes (fluid arrivals, no
+    `record_trace`, and policy qfc or max-weight by name or exact type) are
+    checked as `run` checks them and grouped by horizon and warmup; each
+    group of at least LOCKSTEP_MIN_RUNS runs in lockstep, and its results
+    have `q_trace` None. Every other spec runs through `run` when its turn
+    comes, so at most one run's trace is held at a time. Within a group,
+    configs, policies and seeds may differ; runs are padded to the group's
+    largest queue and flow counts, and a padded queue or flow never admits
+    and is never ON.
 
-    Closed loop: per (run, queue) the state is a FIFO buffer of flow ids, a
-    head and a tail index into it, and per flow a backlog and an admission
-    count, at the end and at warmup, from which `sim._metrics` derives the
-    served counts. Entries from the tail on hold the sentinel id K, a
-    channel column that is always OFF, so an empty queue reads as blocked
-    without a backlog test. Before a tail can pass the end of its row, the
-    rows are compacted to their live entries, dropping the served ones, and
-    the capacity doubles until it holds twice the largest backlog plus a
+    Per (run, queue) the state is a FIFO buffer of flow ids, a head and a
+    tail index into it, and per flow a backlog and an admission count, at
+    the end and at warmup, from which `sim._metrics` derives the served
+    counts. Entries from the tail on hold the sentinel id K, a channel
+    column that is always OFF, so an empty queue reads as blocked without a
+    backlog test. Before a tail can pass the end of its row, the rows are
+    compacted to their live entries, dropping the served ones, and the
+    capacity doubles until it holds twice the largest backlog plus a
     window's most arrivals.
-
-    Open loop: per (run, queue) the state is one head pointer into the
-    block's FIFO, which holds the queue's unserved packets and then a place
-    for each of the block's arrivals, written at the end of its slot.
     """
-    groups: dict[tuple, list[tuple[int, Policy]]] = {}
+    groups: dict[tuple[int, int], list[tuple[int, Policy]]] = {}
     for i, spec in enumerate(specs):
         named = spec.policy if isinstance(spec.policy, str) else type(spec.policy)
-        if spec.record_trace:
-            continue
-        if spec.arrival_mode == "fluid" and named in ("qfc", "maxweight", QfcPolicy,
-                                                      MaxWeightPolicy):
-            engine = _lockstep
-        elif named is StaticPolicy:
-            engine = _lockstep_open
-        else:
-            continue
-        policy, warmup = _prepare(spec)
-        groups.setdefault((engine, spec.horizon, warmup), []).append((i, policy))
+        if (spec.arrival_mode == "fluid" and not spec.record_trace
+                and named in ("qfc", "maxweight", QfcPolicy, MaxWeightPolicy)):
+            policy, warmup = _prepare(spec)
+            groups.setdefault((spec.horizon, warmup), []).append((i, policy))
     done: dict[int, TraceMetrics] = {}
-    for (engine, horizon, warmup), members in groups.items():
-        if len(members) >= (LOCKSTEP_MIN_RUNS if engine is _lockstep else OPEN_LOCKSTEP_MIN_RUNS):
+    for (horizon, warmup), members in groups.items():
+        if len(members) >= LOCKSTEP_MIN_RUNS:
             idx, pols = zip(*members)
-            done.update(zip(idx, _in_parts(engine, [specs[i] for i in idx], list(pols),
-                                           horizon, warmup)))
+            done.update(zip(idx, _lockstep([specs[i] for i in idx], list(pols), horizon, warmup)))
     for i, spec in enumerate(specs):
         yield done.pop(i) if i in done else run(spec)
 
@@ -127,22 +96,15 @@ def run_batch(specs: Sequence[RunSpec]) -> Iterator[TraceMetrics]:
 _STATE_ENTRIES_MAX = 1 << 21
 
 
-def _in_parts(engine, specs: list[RunSpec], pols: list[Policy], horizon: int,
-              warmup: int) -> list[TraceMetrics]:
-    n_runs = len(specs)
-    nq = max(spec.cfg.n_queues for spec in specs)
-    if n_runs > 1 and n_runs * (nq + 1) << nq > _STATE_ENTRIES_MAX:
-        h = n_runs // 2
-        return (_in_parts(engine, specs[:h], pols[:h], horizon, warmup)
-                + _in_parts(engine, specs[h:], pols[h:], horizon, warmup))
-    return engine(specs, pols, horizon, warmup)
-
-
 def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
               warmup: int) -> list[TraceMetrics]:
     cfgs = [spec.cfg for spec in specs]
     n_runs = len(specs)
     nq = max(cfg.n_queues for cfg in cfgs)
+    if n_runs > 1 and n_runs * (nq + 1) << nq > _STATE_ENTRIES_MAX:
+        h = n_runs // 2
+        return (_lockstep(specs[:h], pols[:h], horizon, warmup)
+                + _lockstep(specs[h:], pols[h:], horizon, warmup))
     nk = max(cfg.n_flows(n) for cfg in cfgs for n in range(cfg.n_queues))
     n_rows = n_runs * nq  # row r * nq + n: queue n of run r
     width = nk + 1  # channel columns per row; column nk is the sentinel's
@@ -213,8 +175,6 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
     sv_blk = np.zeros((_PIECE, n_rows), dtype=bool)  # serviceable rows
     # granted rows; a run's one queue is granted whenever it is serviceable
     sq_blk = sv_blk if nq == 1 else np.zeros((_PIECE, n_rows), dtype=bool)
-    arr_blk = np.zeros((_PIECE, n_rows), dtype=np.int32)  # packets each row took
-    sums = [(0, 0, -math.inf)] * n_runs  # backlog sums (sim._add_sums)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for b0 in range(0, horizon, _PIECE):
@@ -222,8 +182,6 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
             for r in range(n_runs):
                 on[:size, on_cols[r]] = rng_ch[r].random((size, p_off[r].size)) >= p_off[r]
             sq_blk[:size] = False
-            arr_blk[:size] = 0
-            q_run = q.reshape(n_runs, nq).sum(1).astype(np.int32)  # start of slot b0
             t0 = 0
             while t0 < size:
                 # a window of wl slots: each FIFO holds all its packets at the
@@ -276,7 +234,7 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
                 if not ids.size:
                     continue
                 adm += np.add.reduce(cnt_w, 0)
-                arr_w = np.add.reduce(cnt_w, 2, dtype=np.int32, out=arr_blk[t0 - wl:t0])
+                arr_w = np.add.reduce(cnt_w, 2)
                 arr_f = arr_w.reshape(-1)
                 _order_batches(ids, arr_f, b0 + t0 - wl, row_word, row_queue)
                 end = np.add.accumulate(arr_f)
@@ -290,203 +248,28 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
 
             w = min(max(warmup - b0, 0), size)  # first slot after warmup
             if w < size:
-                # each run's start-of-slot totals: the piece's first, plus the
-                # packets taken and less the packets served in earlier slots
-                d = arr_blk[:size] - sq_blk[:size]
-                if nq > 1:
-                    d = d.reshape(size, n_runs, nq).sum(2, dtype=np.int32)
-                q_t = np.cumsum(d, 0, dtype=np.int32)
-                q_t -= d
-                q_t += q_run
-                _add_sums(sums, q_t[w:], b0 + w - warmup)
                 key = sv_blk[w:size].reshape(-1, n_runs, nq) @ pow2
                 key += state_off
-                _tally(visits, serves, key, sq_blk[w:size].reshape(-1, n_runs, nq))
+                visits += np.bincount(key.ravel(), minlength=visits.size)
+                granted = sq_blk[w:size].reshape(-1, n_runs, nq)
+                for n in range(nq):
+                    serves[n] += np.bincount(key[granted[..., n]], minlength=visits.size)
 
-    return _results(specs, pols, warmup, adm, qf.astype(np.int64), adm_w, qf_w, sums,
-                    visits, serves)
-
-
-def _tally(visits: np.ndarray, serves: np.ndarray, key: np.ndarray,
-           granted: np.ndarray) -> None:
-    """Count post-warmup slots: key[t, r] is run r's state in slot t, as
-    r * 2**N + state, and granted[t, r, n] whether its queue n was granted."""
-    visits += np.bincount(key.ravel(), minlength=visits.size)
-    for n, row in enumerate(serves):
-        row += np.bincount(key[granted[..., n]], minlength=visits.size)
-
-
-def _results(specs: list[RunSpec], pols: list[Policy], warmup: int, adm: np.ndarray,
-             backlog: np.ndarray, adm_w: np.ndarray, backlog_w: np.ndarray, sums: list,
-             visits: np.ndarray, serves: np.ndarray) -> list[TraceMetrics]:
-    """Each run's metrics from a lockstep batch's per-row flow counts, at the
-    end and at warmup (row r * N + n: queue n of run r), and its counters."""
-    n_runs = len(specs)
-    nq = len(serves)
-    visits = visits.reshape(n_runs, -1)
-    serves = serves.reshape(nq, n_runs, -1)
+    qf = qf.astype(np.int64)
+    visits = visits.reshape(n_runs, n_states)
+    serves = serves.reshape(nq, n_runs, n_states)
 
     def nest(a: np.ndarray, r: int) -> list[list[int]]:
-        a = a.reshape(n_runs * nq, -1)
-        return [a[r * nq + n, :specs[r].cfg.n_flows(n)].tolist()
-                for n in range(specs[r].cfg.n_queues)]
+        return [a[r * nq + n, :cfgs[r].n_flows(n)].tolist()
+                for n in range(cfgs[r].n_queues)]
 
     return [
-        _metrics(spec, pol.name, warmup, nest(adm, r), nest(backlog, r),
-                 nest(adm_w, r), nest(backlog_w, r), None, sums[r],
+        _metrics(spec, pol.name, warmup, nest(adm, r), nest(qf, r),
+                 nest(adm_w, r), nest(qf_w, r), None,
                  visits[r, :1 << spec.cfg.n_queues].copy(),
                  serves[:spec.cfg.n_queues, r, :1 << spec.cfg.n_queues].T.copy(), None)
         for r, (spec, pol) in enumerate(zip(specs, pols))
     ]
-
-
-# most entries, slots x runs x 2**N x N, of the open-loop grant tables
-_GRANT_ENTRIES = 1 << 20
-
-
-def _lockstep_open(specs: list[RunSpec], pols: list[StaticPolicy], horizon: int,
-                   warmup: int) -> list[TraceMetrics]:
-    """Open-loop runs in lockstep, a block of slots at a time.
-
-    Each run's draws come from `sim._open_loop_draws`, as `sim.run` reads
-    them, and one `_order_batches` call interleaves the batches of every
-    run. Each flow has a channel column, and each row (queue n of run r) a
-    sentinel column that is always OFF. A block's FIFO of a row is its
-    unserved packets, then a place for each of the block's arrivals, each
-    holding the row's sentinel until its packet arrives at the end of its
-    slot, then one more sentinel; a packet is its flow's column. The channel
-    table holds 1 in a flow's column while ON, so the channels of run r's
-    heads of line, weighted by 2**n and with r * 2**N added, give its state
-    key. Five numpy calls a slot advance every run: read the heads of line,
-    their channels and the state keys, look up each run's grant in the
-    slot's table (the first n with u < cum[s, n], `StaticPolicy.schedule`'s
-    walk, if s has bit n) and advance the granted heads. Per block, the
-    grants give each run's departures, and with the arrivals, its backlogs.
-    """
-    cfgs = [spec.cfg for spec in specs]
-    n_runs = len(specs)
-    nq = max(cfg.n_queues for cfg in cfgs)
-    n_rows = n_runs * nq  # row r * nq + n: queue n of run r
-    n_states = 1 << nq
-    state_off = np.arange(n_runs) * n_states
-
-    # run r's flows are the columns first[r]:first[r + 1], queue by queue;
-    # row i's are row_lo[i]:row_hi[i] (none for a padded queue)
-    first = np.cumsum([0] + [sum(cfg.n_flows(n) for n in range(cfg.n_queues))
-                             for cfg in cfgs]).tolist()
-    n_cols = first[-1]
-    row_lo = np.full(n_rows, n_cols)
-    row_hi = np.full(n_rows, n_cols)
-    # queue n of run r is granted in state s when lo <= u < hi at [n, r, s];
-    # a padded queue has hi = -inf
-    lo = np.full((nq, n_runs, n_states), -np.inf)
-    hi = np.full((nq, n_runs, n_states), -np.inf)
-    for r, (cfg, pol) in enumerate(zip(cfgs, pols)):
-        m = cfg.n_queues
-        sizes = [cfg.n_flows(n) for n in range(m)]
-        row_hi[r * nq:r * nq + m] = first[r] + np.cumsum(sizes)
-        row_lo[r * nq:r * nq + m] = row_hi[r * nq:r * nq + m] - sizes
-        cum = np.cumsum(np.asarray(pol.tau, dtype=float), axis=1)
-        bit = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
-        hi[:m, r, :1 << m] = np.where(bit, cum, -np.inf).T
-        lo[1:m, r, :1 << m] = cum[:, :-1].T
-    col_row = np.repeat(np.arange(n_rows), row_hi - row_lo)  # of each flow's column
-    col_k = np.arange(n_cols) - row_lo[col_row]
-    sentinel = np.arange(n_cols, n_cols + n_rows, dtype=np.int32)
-    g_len = max(1, min(_BLOCK, _GRANT_ENTRIES // (n_runs * n_states * nq)))
-    draws = [_open_loop_draws(spec, pol) for spec, pol in zip(specs, pols)]
-    row_word = np.array([_interleave_word(spec.seed) for spec in specs], np.uint64).repeat(nq)
-    row_queue = np.tile(np.arange(nq, dtype=np.uint64), n_runs)
-
-    admitted = np.zeros(n_cols, dtype=np.int64)
-    adm_w = backlog_w = None  # at the start of slot `warmup`
-    pending = np.zeros(0, dtype=np.int32)  # unserved packets, row by row in FIFO order
-    n_pending = np.zeros(n_rows, dtype=np.int64)
-    sums = [(0, 0, -math.inf)] * n_runs  # backlog sums (sim._add_sums)
-    visits = np.zeros(n_runs * n_states, dtype=np.int64)
-    serves = np.zeros((nq, n_runs * n_states), dtype=np.int64)
-
-    on = np.zeros((_BLOCK, n_cols + n_rows), dtype=np.int32)  # then the sentinels
-    u = np.zeros((_BLOCK, 1, n_runs, 1))
-    counts = np.zeros((_BLOCK, n_cols), dtype=np.int32)
-    csum = np.zeros((_BLOCK, n_cols + 1), dtype=np.int32)  # counts summed along a slot
-    key_blk = np.zeros((_BLOCK, n_runs), dtype=np.int32)  # r * 2**N + state
-    sq_blk = np.zeros((_BLOCK, nq, n_runs), dtype=np.int32)  # granted rows, queue-major
-    hol = np.zeros((nq, n_runs), dtype=np.int32)
-    bits = np.vstack([np.zeros((nq, n_runs)), state_off]).astype(np.int32)
-    hol_bits = bits[:nq]  # the channels of the heads of line, then r * 2**N
-    weight = np.append(1 << np.arange(nq), 1).astype(np.int32)
-
-    for b0 in range(0, horizon, _BLOCK):
-        size = min(_BLOCK, horizon - b0)
-        for r, gen in enumerate(draws):
-            _, on_r, u_r, counts_r = next(gen)
-            on[:size, first[r]:first[r + 1]] = on_r
-            u[:size, 0, r, 0] = u_r
-            counts[:size, first[r]:first[r + 1]] = counts_r
-        cnt = counts[:size]
-        np.cumsum(cnt, 1, out=csum[:size, 1:])
-        arrived = csum[:size, row_hi] - csum[:size, row_lo]  # (size, n_rows)
-        flat = np.flatnonzero(cnt)
-        ids = (flat % n_cols).astype(np.int32).repeat(cnt.ravel()[flat])  # slot, row
-        _order_batches(ids, arrived.ravel(), b0, row_word, row_queue)
-        # row i's FIFO is fifo[start[i]:start[i] + total[i] + 1]; avail[t, i]
-        # is its tail at the start of slot t, where slot t's packets go
-        total = n_pending + arrived.sum(0)
-        start = np.cumsum(total + 1) - total - 1
-        avail = np.cumsum(arrived, 0) - arrived + (start + n_pending)
-        fifo = sentinel.repeat(total + 1)
-        fifo[_ranges(start, start + n_pending)] = pending
-        batch_at = np.cumsum(arrived.ravel()) - arrived.ravel()  # in ids
-        dest = np.repeat(avail.ravel() - batch_at, arrived.ravel()) + np.arange(ids.size)
-        slot_end = np.cumsum(arrived.sum(1)).tolist()  # in ids
-        head = start.reshape(n_runs, nq).T.astype(np.int32)
-
-        e = 0
-        for c0 in range(0, size, g_len):
-            ut = u[c0:min(c0 + g_len, size)]
-            grants = ((lo <= ut) & (ut < hi)).astype(np.int32).reshape(len(ut), nq, -1)
-            for on_t, key, sq, grant, e1 in zip(on[c0:], key_blk[c0:], sq_blk[c0:], grants,
-                                                slot_end[c0:]):
-                fifo.take(head, out=hol, mode="clip")  # in range: no bounds buffer
-                on_t.take(hol, out=hol_bits, mode="clip")
-                np.dot(weight, bits, out=key)
-                grant.take(key, axis=1, out=sq, mode="clip")
-                np.add(head, sq, out=head)
-                if e1 > e:  # the slot's packets, served from the next slot on
-                    fifo.put(dest[e:e1], ids[e:e1])
-                    e = e1
-
-        sq = sq_blk[:size].swapaxes(1, 2)  # (slot, run, queue)
-        done = (np.cumsum(sq, 0) - sq).reshape(size, n_rows)  # departures before slot t
-        w = min(max(warmup - b0, 0), size)  # first slot of the block in the window
-        if w < size:
-            q_rows = (avail[w:] - start - done[w:]).reshape(-1, n_runs, nq)
-            _add_sums(sums, q_rows.sum(2), b0 + w - warmup)
-            _tally(visits, serves, key_blk[w:size], sq[w:] > 0)
-        if b0 <= warmup < b0 + size:  # counts at the start of slot `warmup`
-            adm_w = admitted + cnt[:w].sum(0)
-            backlog_w = np.bincount(fifo[_ranges(start + done[w], avail[w])],
-                                    minlength=n_cols)
-        admitted += cnt.sum(0)
-        end = start + total
-        n_pending = end - head.T.ravel()
-        pending = fifo[_ranges(end - n_pending, end)]
-
-    def by_row(a: np.ndarray) -> np.ndarray:  # (n_rows, flows of the widest queue)
-        out = np.zeros((n_rows, int(col_k.max(initial=0)) + 1), dtype=np.int64)
-        out[col_row, col_k] = a
-        return out
-
-    return _results(specs, pols, warmup, by_row(admitted),
-                    by_row(np.bincount(pending, minlength=n_cols)), by_row(adm_w),
-                    by_row(backlog_w), sums, visits, serves)
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The indexes lo[i]:hi[i] of every i, in order."""
-    n = hi - lo
-    return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
 
 
 def _compact(fifo: np.ndarray, head: np.ndarray, tail: np.ndarray, cap: int,

@@ -67,17 +67,14 @@ loop stays the reference for every other policy.
 
 `lockstep.run_batch` is the entry point for many runs: it yields `run`'s
 metrics for each spec, seed for seed, and advances fluid qfc and max-weight
-runs, or runs of a `StaticPolicy`, that share a horizon and warmup at once,
-in lockstep, without `q_trace`.
+runs that share a horizon and warmup at once, in lockstep, without
+`q_trace`.
 
-Stability verdicts come from three exact sums of the start-of-slot total
-backlog q over the window [warmup, horizon) of n slots: S0 = sum q,
-S1 = sum t * q with t counted from warmup, and max q. Every engine reduces
-them a block (or lockstep piece) at a time, in Python ints, into
-`TraceMetrics.backlog_sums`; `TraceMetrics.stability` and
-`detect_stability`, which reduces a given trace the same way, share
-`_verdict`: the least-squares slope (12 S1 - 6 (n - 1) S0) / (n (n^2 - 1)),
-exact and rounded once, against SLOPE_STABLE and SLOPE_UNSTABLE.
+Stability verdicts (`detect_stability`, and `TraceMetrics.stability` on a
+run's own trace and warmup) come from three exact sums of the start-of-slot
+total backlog q over the window [warmup, horizon): S0 = sum q, S1 = sum t * q
+with t counted from warmup, and max q, reduced a block of slots at a time
+in Python ints, so the least-squares slope is exact and rounded once.
 """
 
 from __future__ import annotations
@@ -193,8 +190,8 @@ class TraceMetrics:
     """Measurements from one run.
 
     Packet counts cover the whole horizon (queues start empty, so
-    admitted - served = final backlog per flow, exactly); the rates,
-    per-state frequencies and backlog sums cover only the post-warmup window.
+    admitted - served = final backlog per flow, exactly); the rates and
+    per-state frequencies cover only the post-warmup window.
     """
 
     horizon: int
@@ -210,9 +207,6 @@ class TraceMetrics:
     utility: float
     # (horizon, n_queues) start-of-slot backlogs; None from a lockstep run
     q_trace: np.ndarray | None
-    # (sum q, sum t * q, max q) of the start-of-slot total backlog q over
-    # [warmup, horizon), t counted from warmup: exact ints, every engine
-    backlog_sums: tuple[int, int, int]
     state_visits: np.ndarray  # (2**N,) post-warmup counts
     state_serves: np.ndarray  # (2**N, N) post-warmup grant counts
     rng_streams: dict[str, str]
@@ -225,11 +219,8 @@ class TraceMetrics:
         return float(sum(sum(row) for row in self.served_rate))
 
     def stability(self, backlog_cap: float = 1e4) -> StabilityVerdict:
-        """The `detect_stability` verdict on the post-warmup window, from
-        `backlog_sums`: equal to detect_stability(q_trace, warmup)."""
-        if self.horizon < MIN_VERDICT_SLOTS:
-            raise ValueError(f"need a run of at least {MIN_VERDICT_SLOTS} slots")
-        return _verdict(self.horizon - self.warmup, self.backlog_sums, backlog_cap)
+        """The `detect_stability` verdict on the run's post-warmup window."""
+        return detect_stability(self.q_trace, self.warmup, backlog_cap)
 
 
 @lru_cache(maxsize=4096)
@@ -433,41 +424,8 @@ def run(spec: RunSpec) -> TraceMetrics:
         [np.frombuffer(a, dtype=np.int32) for a in q_traces]
     )
     return _metrics(spec, policy.name, warmup, admitted, q_flow, admitted_w,
-                    q_flow_w, q_trace, _trace_sums(q_trace, warmup), state_visits,
-                    state_serves, (arrival_log, grants) if record else None)
-
-
-def _open_loop_draws(spec: RunSpec, policy: StaticPolicy):
-    """Yields a StaticPolicy run's draws a block of slots at a time: the
-    block's first slot, its channels ON (size, F) bool, scheduling uniforms
-    (size,) and arrival counts (size, F), F the flows in queue order. The
-    streams are read as the per-slot loop reads them."""
-    cfg = spec.cfg
-    p_off = np.array([f.p_off for q in cfg.queues for f in q.flows], dtype=float)
-    n_flows = p_off.size
-    rates = [r for row in policy.rates for r in row]
-    live = [f for f, r in enumerate(rates) if r > 0.0]
-    fluid = spec.arrival_mode == "fluid"
-    cdfs = {} if fluid else {f: np.array(poisson_cdf(rates[f])) for f in live}
-    frac = [0.0] * n_flows
-    rng_ch = _stream(spec.seed, "channels")
-    rng_ar = None if fluid else _stream(spec.seed, "arrivals")
-    rng_sc = _stream(spec.seed, "scheduling")
-    for b0 in range(0, spec.horizon, _BLOCK):
-        size = min(_BLOCK, spec.horizon - b0)
-        on = rng_ch.random((_BLOCK, n_flows))[:size] >= p_off
-        u_sched = rng_sc.random(_BLOCK)[:size]
-        counts = np.zeros((size, n_flows), dtype=np.int64)
-        if fluid:
-            for f in live:
-                counts[:, f], frac[f] = _fluid_counts(rates[f], frac[f], size)
-        else:
-            u_arr = rng_ar.random((_BLOCK, n_flows)).T.copy()  # flow f's in row f
-            for f in live:
-                # a uniform below the table's first entry draws no packet
-                hit = np.flatnonzero(u_arr[f, :size] >= cdfs[f][0])
-                counts[hit, f] = np.searchsorted(cdfs[f], u_arr[f, hit], side="right")
-        yield b0, on, u_sched, counts
+                    q_flow_w, q_trace, state_visits, state_serves,
+                    (arrival_log, grants) if record else None)
 
 
 def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMetrics:
@@ -475,29 +433,39 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
 
     Admission does not depend on the state, so each block's arrival counts
     and per-queue arrival sequences (flow ids in service order) are drawn
-    before its slots run (`_open_loop_draws`). The only sequential state is
-    one head pointer per queue: the slot loop reads HOL channels, walks the
-    cumulative grant row and advances a head pointer. Every metric is a
-    per-block reduction, and served packets are trimmed from the sequences
-    after each block.
+    before its slots run, from the same streams in the same order as the
+    per-slot loop. The only sequential state is one head pointer per queue:
+    the slot loop reads HOL channels, walks the cumulative grant row and
+    advances a head pointer. Every metric is a per-block reduction, and
+    served packets are trimmed from the sequences after each block.
     """
     cfg = spec.cfg
+    horizon = spec.horizon
     n_queues = cfg.n_queues
     qs = range(n_queues)
     # queue n owns the flows bounds[n]:bounds[n + 1] of the flat flow order
     bounds = np.cumsum([0] + [cfg.n_flows(n) for n in qs]).tolist()
     n_flows = bounds[-1]
     queue_of = np.repeat(np.arange(n_queues), np.diff(bounds))  # of each flow
+    p_off = np.array([f.p_off for q in cfg.queues for f in q.flows], dtype=float)
+    rates = [r for row in policy.rates for r in row]
+    live = [f for f, r in enumerate(rates) if r > 0.0]
+    fluid = spec.arrival_mode == "fluid"
+    cdfs = {} if fluid else {f: np.array(poisson_cdf(rates[f])) for f in live}
+    frac = [0.0] * n_flows
     # StaticPolicy.schedule sums each grant row left to right, as cumsum does
     cum = np.cumsum(np.asarray(policy.tau, dtype=float), axis=1)
     cum_rows: dict[int, list[float]] = {}
     # a slot's channels as one integer, flow f's in bit f (Python ints past 62)
     flow_bits = np.array([1 << f for f in range(n_flows)], np.int64 if n_flows < 63 else object)
+
+    rng_ch = _stream(spec.seed, "channels")
+    rng_ar = None if fluid else _stream(spec.seed, "arrivals")
+    rng_sc = _stream(spec.seed, "scheduling")
     words = np.full(n_queues, _interleave_word(spec.seed), np.uint64)
     queues = np.arange(n_queues, dtype=np.uint64)
 
-    q_trace = np.empty((spec.horizon, n_queues), dtype=np.int32)
-    sums = [(0, 0, -math.inf)]
+    q_trace = np.empty((horizon, n_queues), dtype=np.int32)
     state_visits = np.zeros(1 << n_queues, dtype=np.int64)
     state_serves = np.zeros((1 << n_queues, n_queues), dtype=np.int64)
     admitted = np.zeros(n_flows, dtype=np.int64)
@@ -508,10 +476,20 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
     arrival_log: list[list[tuple[int, int]]] = [[] for _ in qs]
     grant_log: list[int] = []
 
-    for b0, on, u_blk, counts in _open_loop_draws(spec, policy):
-        size = len(counts)
-        on_rows = (on @ flow_bits).tolist()
-        u_sched = u_blk.tolist()
+    for b0 in range(0, horizon, _BLOCK):
+        size = min(_BLOCK, horizon - b0)
+        on_rows = ((rng_ch.random((_BLOCK, n_flows))[:size] >= p_off) @ flow_bits).tolist()
+        u_sched = rng_sc.random(_BLOCK)[:size].tolist()
+        counts = np.zeros((size, n_flows), dtype=np.int64)
+        if fluid:
+            for f in live:
+                counts[:, f], frac[f] = _fluid_counts(rates[f], frac[f], size)
+        else:
+            u_arr = rng_ar.random((_BLOCK, n_flows)).T.copy()  # flow f's in row f
+            for f in live:
+                # a uniform below the table's first entry draws no packet
+                hit = np.flatnonzero(u_arr[f, :size] >= cdfs[f][0])
+                counts[hit, f] = np.searchsorted(cdfs[f], u_arr[f, hit], side="right")
         arrived = np.add.reduceat(counts, bounds[:-1], axis=1)  # (size, N)
         firsts = np.cumsum(arrived, axis=0) - arrived  # slot t's first arrival
         # slot-major, then queue, flows in index order, each repeated by its count
@@ -549,11 +527,9 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
         state = np.array(states, dtype=np.int64)
         left = grant[:, None] == np.arange(n_queues)
         done = np.cumsum(left, axis=0) - left  # departures before slot t
-        q_block = queued - done
-        q_trace[b0:b0 + size] = q_block
+        q_trace[b0:b0 + size] = queued - done
         w = min(max(warmup - b0, 0), size)  # first slot of the block in the window
         if w < size:
-            _add_sums(sums, q_block[w:].sum(1, keepdims=True), b0 + w - warmup)
             state_visits += np.bincount(state[w:], minlength=state_visits.size)
             g = grant[w:]
             hit = g >= 0
@@ -578,7 +554,7 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
 
     backlog = sum(_flow_counts(p, n_flows) for p in pending)
     return _metrics(spec, policy.name, warmup, nest(admitted), nest(backlog),
-                    nest(admitted_w), nest(backlog_w), q_trace, sums[0], state_visits,
+                    nest(admitted_w), nest(backlog_w), q_trace, state_visits,
                     state_serves, (arrival_log, grant_log) if record else None)
 
 
@@ -603,12 +579,12 @@ def _flow_counts(flows: list[int], n_flows: int) -> np.ndarray:
 def _metrics(spec: RunSpec, policy_name: str, warmup: int,
              admitted: list[list[int]], backlog: list[list[int]],
              admitted_w: list[list[int]], backlog_w: list[list[int]],
-             q_trace: np.ndarray | None, sums: tuple, state_visits: np.ndarray,
+             q_trace: np.ndarray | None, state_visits: np.ndarray,
              state_serves: np.ndarray, log: tuple | None) -> TraceMetrics:
     """A run's metrics from its per-flow admissions and backlogs, at the end
     and at the start of slot `warmup`. Queues start empty, so the packets
-    served are admitted - backlog. `sums` are the window's backlog sums,
-    and `log` is None or the (arrival log, grants) pair `_trace` takes.
+    served are admitted - backlog. `log` is None, or the (arrival log,
+    grants) pair `_trace` takes.
     """
     def minus(x, y) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(a - b for a, b in zip(xr, yr)) for xr, yr in zip(x, y))
@@ -638,7 +614,6 @@ def _metrics(spec: RunSpec, policy_name: str, warmup: int,
         final_backlog_flow=tuple(tuple(row) for row in backlog),
         utility=utility,
         q_trace=q_trace,
-        backlog_sums=tuple(sums),
         state_visits=state_visits,
         state_serves=state_serves,
         rng_streams={  # the top 48 bits of each stream's seed: equal tags, equal draws
@@ -849,47 +824,23 @@ _EXACT_TOTAL = 1 << 40
 _SLOT_INDEX = np.arange(_BLOCK, dtype=np.int64)
 
 
-def _add_sums(sums: list, q: np.ndarray, t0: int) -> None:
-    """Add to sums[j], a (sum q, sum t * q, max q) triple, column j of q:
-    the per-slot totals of at most _BLOCK slots, row i being slot t0 + i of
-    the window. Integer columns add as Python ints, exactly."""
-    s0 = q.sum(0).tolist()
-    s1 = (_SLOT_INDEX[:len(q), None] * q).sum(0).tolist()
-    for j, (a, b, top) in enumerate(zip(s0, s1, q.max(0).tolist())):
-        x, y, z = sums[j]
-        sums[j] = (x + a, y + t0 * a + b, max(z, top))
-
-
-def _verdict(n: int, sums: tuple, backlog_cap: float) -> StabilityVerdict:
-    """The verdict on a window of n slots from its (sum q, sum t * q, max q),
-    t counted from the window's start. The least-squares slope,
-    (12 S1 - 6 (n - 1) S0) / (n (n^2 - 1)), is exact for integer sums and
-    rounded once."""
-    s0, s1, top = sums
-    den = n * (n * n - 1)
-    slope = (12 * s1 - 6 * (n - 1) * s0) / den if den else 0.0
-    if slope >= SLOPE_UNSTABLE:
-        verdict = "unstable"
-    elif slope <= SLOPE_STABLE and top <= backlog_cap:
-        verdict = "stable"
-    else:
-        verdict = "inconclusive"
-    return StabilityVerdict(verdict=verdict, slope=float(slope), max_backlog=float(top))
-
-
 def _trace_sums(q: np.ndarray, warmup: int) -> tuple:
     """(sum q, sum t * q, max q) of a 1-D or 2-D (summed across queues) trace
-    over [warmup, len), reduced a block of slots at a time. Integer traces
-    give Python ints, float traces floats."""
+    over [warmup, len), t counted from warmup, reduced a block of slots at a
+    time. Integer traces give exact Python ints, float traces floats."""
     dtype = np.int64 if q.dtype.kind in "biu" else np.float64
-    sums = [(0, 0, -math.inf)]
+    s0 = s1 = 0
+    top = -math.inf
     for c0 in range(warmup, len(q), _BLOCK):
         rows = q[c0:c0 + _BLOCK]
         rows = rows.sum(1, dtype=dtype) if rows.ndim == 2 else rows.astype(dtype)
         if dtype is np.int64 and not -_EXACT_TOTAL < rows.min() <= rows.max() < _EXACT_TOTAL:
             raise ValueError("per-slot backlog totals must stay below 2**40")
-        _add_sums(sums, rows[:, None], c0 - warmup)
-    return sums[0]
+        a = rows.sum().item()
+        s0 += a
+        s1 += (c0 - warmup) * a + (_SLOT_INDEX[:len(rows)] * rows).sum().item()
+        top = max(top, rows.max().item())
+    return s0, s1, top
 
 
 def detect_stability(
@@ -903,8 +854,10 @@ def detect_stability(
     unstable: slope >= SLOPE_UNSTABLE;
     inconclusive otherwise. `q_trace` is per-slot total backlog (a 2-D
     per-queue trace is summed across queues); warmup defaults to a tenth.
-    The trace is reduced a block of slots at a time, and the verdict is the
-    one `TraceMetrics.stability` gives from a run's streamed sums.
+    The trace is reduced a block of slots at a time to (S0, S1, max q), and
+    the least-squares slope over the window's n slots is
+    (12 S1 - 6 (n - 1) S0) / (n (n^2 - 1)): exact for an integer trace, and
+    rounded once.
     """
     if q_trace is None:
         raise ValueError("the run kept no backlog trace (a lockstep run of run_batch)")
@@ -916,4 +869,14 @@ def detect_stability(
     w = len(q) // 10 if warmup is None else warmup
     if not (0 <= w < len(q)):
         raise ValueError("warmup must be in [0, len(trace))")
-    return _verdict(len(q) - w, _trace_sums(q, w), backlog_cap)
+    n = len(q) - w
+    s0, s1, top = _trace_sums(q, w)
+    den = n * (n * n - 1)
+    slope = (12 * s1 - 6 * (n - 1) * s0) / den if den else 0.0
+    if slope >= SLOPE_UNSTABLE:
+        verdict = "unstable"
+    elif slope <= SLOPE_STABLE and top <= backlog_cap:
+        verdict = "stable"
+    else:
+        verdict = "inconclusive"
+    return StabilityVerdict(verdict=verdict, slope=float(slope), max_backlog=float(top))
