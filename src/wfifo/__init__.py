@@ -26,7 +26,6 @@ from .markov import (
     SteadyState,
     joint_state_hol_prob,
     single_queue_steady_state,
-    state_marginal,
 )
 from .policies import (
     MaxWeightPolicy,
@@ -52,7 +51,6 @@ from .stability import (
     check_inner_bound,
     check_service_region,
     check_stability_region,
-    inner_coefficient,
     single_queue_margin,
     sweep_two_queue_boundary,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "config_digest",
     "config_from_dict",
     "detect_stability",
-    "inner_coefficient",
     "joint_state_hol_prob",
     "load_config",
     "run",
@@ -95,7 +92,6 @@ __all__ = [
     "single_queue_margin",
     "single_queue_steady_state",
     "solve_dfc",
-    "state_marginal",
     "static_dfc_policy",
     "sweep_two_queue_boundary",
     "__version__",

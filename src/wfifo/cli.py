@@ -63,8 +63,6 @@ _POLICY_CHOICES = ("qfc", "maxweight", "dfc-static", "static")
 
 
 def _fmt(x: Any) -> str:
-    if isinstance(x, bool):
-        return str(x)
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.6g}"
@@ -475,6 +473,10 @@ class ExperimentPlan:
         _check_budget(self.horizon, self.warmup, 1, "plan: ")
         if not self.values:
             raise ConfigError("plan: values must be non-empty")
+        # the CSV prints each value as a number, so a sweep sets only numbers
+        for value in self.values:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"plan: values: must be JSON numbers, got {value!r}")
         if not self.policies:
             raise ConfigError("plan: policies must be non-empty")
         if self.arrival_mode not in ("fluid", "stochastic"):

@@ -294,6 +294,10 @@ class SchedulingPolicy:
             raise ValueError(
                 f"tau has {self.tau.shape[0]} states for {n} queues, expected {1 << n}"
             )
+        if not np.isfinite(self.tau).all():
+            s, n = np.argwhere(~np.isfinite(self.tau))[0]
+            raise ValueError(f"state {s:#b}, queue {n}: grant probability must be "
+                             f"finite, got {self.tau[s, n]}")
         if np.any(self.tau < -FEAS_TOL):
             raise ValueError("tau entries must be >= 0")
         sums = self.tau.sum(axis=1)

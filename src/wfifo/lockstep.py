@@ -2,8 +2,9 @@
 
 `run_batch` is the entry point for many runs, and the one place that
 decides which of them run in lockstep: groups of at least
-LOCKSTEP_MIN_RUNS fluid qfc and max-weight runs without a trace that share
-a horizon and warmup. A lockstep run gives the metrics `sim.run` gives it,
+LOCKSTEP_MIN_RUNS fluid runs without a trace whose policy is named "qfc" or
+"maxweight" and that share a horizon and warmup (a built policy object runs
+through `sim.run`). A lockstep run gives the metrics `sim.run` gives it,
 seed for seed, except that `q_trace` is None: it keeps no per-slot backlog
 trace, whose size would grow with runs x horizon. One numpy step per slot
 advances every run of a group:
@@ -38,7 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .policies import MaxWeightPolicy, Policy, QfcPolicy
+from .policies import Policy, QfcPolicy
 from .sim import (RunSpec, TraceMetrics, _interleave_word, _metrics, _order_batches,
                   _prepare, _stream, run)
 
@@ -56,8 +57,8 @@ def run_batch(specs: Sequence[RunSpec]) -> Iterator[TraceMetrics]:
     """Yields run(spec) for each spec, in spec order, equal seed for seed.
 
     At the first `next`, the specs lockstep takes (fluid arrivals, no
-    `record_trace`, and policy qfc or max-weight by name or exact type) are
-    checked as `run` checks them and grouped by horizon and warmup; each
+    `record_trace`, and the policy name "qfc" or "maxweight") are checked
+    as `run` checks them and grouped by horizon and warmup; each
     group of at least LOCKSTEP_MIN_RUNS runs in lockstep, and its results
     have `q_trace` None. Every other spec runs through `run` when its turn
     comes, so at most one run's trace is held at a time. Within a group,
@@ -77,9 +78,8 @@ def run_batch(specs: Sequence[RunSpec]) -> Iterator[TraceMetrics]:
     """
     groups: dict[tuple[int, int], list[tuple[int, Policy]]] = {}
     for i, spec in enumerate(specs):
-        named = spec.policy if isinstance(spec.policy, str) else type(spec.policy)
         if (spec.arrival_mode == "fluid" and not spec.record_trace
-                and named in ("qfc", "maxweight", QfcPolicy, MaxWeightPolicy)):
+                and spec.policy in ("qfc", "maxweight")):
             policy, warmup = _prepare(spec)
             groups.setdefault((spec.horizon, warmup), []).append((i, policy))
     done: dict[int, TraceMetrics] = {}

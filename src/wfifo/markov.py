@@ -50,8 +50,8 @@ def _check_queue(lambdas: list[float], p_off: list[float]) -> None:
     if not lambdas:
         raise ValueError("queue has no flows")
     for k, (lam, p) in enumerate(zip(lambdas, p_off)):
-        if lam < 0:
-            raise ValueError(f"flow {k}: arrival rate must be >= 0, got {lam}")
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"flow {k}: arrival rate must be finite and >= 0, got {lam}")
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"flow {k}: p_off must be in [0, 1], got {p}")
         if lam > 0 and p >= 1.0:
@@ -77,26 +77,12 @@ def single_queue_steady_state(lambdas: list[float], p_off: list[float]) -> Stead
     return SteadyState(p_serviceable, p_blocked, p_hol)
 
 
-def hol_channel_prob(p_off_k: float, s: int) -> float:
-    """P[channel state s | flow k at HOL]: p_on if s is ON else p_off."""
-    return (1.0 - p_off_k) if s == ON else p_off_k
-
-
-def state_weight_ratio(p_off_k: float, s: int) -> float:
-    """hol_channel_prob(s) / p_on: 1 when s is ON, p_off/p_on when OFF."""
-    if s == ON:
-        return 1.0
-    p_on = 1.0 - p_off_k
-    if p_on <= 0.0:
-        raise ValueError("flow with p_on = 0 has no OFF/ON weight ratio")
-    return p_off_k / p_on
-
-
 def state_marginal(lambdas: list[float], p_off: list[float], s: int) -> float:
     """P[queue's HOL channel state = s] for one saturated queue."""
     _check_queue(lambdas, p_off)
+    # P[HOL channel = s | flow k at HOL] / p_on: 1 when s is ON, p_off/p_on when OFF
     num = math.fsum(
-        state_weight_ratio(p, s) * lam
+        (1.0 if s == ON else p / (1.0 - p)) * lam
         for lam, p in zip(lambdas, p_off)
         if lam > 0
     )
@@ -124,7 +110,8 @@ def joint_state_hol_prob(
     if not (0 <= state < (1 << cfg.n_queues)):
         raise ValueError(f"state {state} out of range for {cfg.n_queues} queues")
     ss = single_queue_steady_state(lambdas[n], cfg.p_off_row(n))
-    prob = ss.p_hol[k] * hol_channel_prob(cfg.queues[n].flows[k].p_off, state_bit(state, n))
+    p = cfg.queues[n].flows[k].p_off
+    prob = ss.p_hol[k] * ((1.0 - p) if state_bit(state, n) == ON else p)
     for m in range(cfg.n_queues):
         if m == n:
             continue

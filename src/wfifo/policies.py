@@ -115,7 +115,6 @@ class StaticPolicy(Policy):
     name = "static"
 
     def __init__(self, cfg: NetworkConfig, rates: list[list[float]], tau: np.ndarray):
-        self.cfg = cfg
         table = SchedulingPolicy(np.asarray(tau, dtype=float))
         if table.n_queues != cfg.n_queues:
             raise ValueError("grant table sized for a different number of queues")
@@ -125,8 +124,8 @@ class StaticPolicy(Policy):
             raise ValueError("rates must give one value per flow")
         for n, row in enumerate(rates):
             for k, lam in enumerate(row):
-                if lam < 0:
-                    raise ValueError(f"rates[{n}][{k}] must be >= 0")
+                if not 0.0 <= lam < math.inf:
+                    raise ValueError(f"rates[{n}][{k}] must be finite and >= 0, got {lam}")
         self.rates = [list(map(float, row)) for row in rates]
         self.tau = table.tau.tolist()
 
@@ -145,8 +144,11 @@ class StaticPolicy(Policy):
 
 
 def static_dfc_policy(cfg: NetworkConfig, sol: DfcSolution) -> StaticPolicy:
-    """Replay a planner solution as an open-loop simulation policy."""
-    return StaticPolicy(cfg, [list(r) for r in sol.lambdas], sol.tau)
+    """Replay a planner solution as an open-loop simulation policy, named
+    "dfc-static"; its type stays exactly StaticPolicy, for the block path."""
+    policy = StaticPolicy(cfg, [list(r) for r in sol.lambdas], sol.tau)
+    policy.name = "dfc-static"
+    return policy
 
 
 def serve_if_on_policy(cfg: NetworkConfig, rates: list[list[float]]) -> StaticPolicy:

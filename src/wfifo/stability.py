@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FEAS_TOL, OFF, ON, NetworkConfig, SchedulingPolicy, state_bit
+from .core import FEAS_TOL, OFF, ON, NetworkConfig, SchedulingPolicy
 from .markov import state_marginal
 
 
@@ -34,11 +34,10 @@ class Margin:
     """Outcome of a feasibility check: per-constraint slacks, min-aggregated."""
 
     slacks: dict[str, float] = field(default_factory=dict)
-    tol: float = FEAS_TOL
 
     @property
     def feasible(self) -> bool:
-        return all(v >= -self.tol for v in self.slacks.values())
+        return all(v >= -FEAS_TOL for v in self.slacks.values())
 
     @property
     def min_slack(self) -> float:
@@ -51,10 +50,10 @@ def single_queue_margin(lambdas: list[float], p_off: list[float]) -> Margin:
         raise ValueError("lambdas and p_off lengths must match")
     load = 0.0
     for k, (lam, p) in enumerate(zip(lambdas, p_off)):
-        if lam < 0:
-            raise ValueError(f"flow {k}: arrival rate must be >= 0")
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"flow {k}: arrival rate must be finite and >= 0, got {lam}")
         if not (0.0 <= p <= 1.0):
-            raise ValueError(f"flow {k}: p_off must be in [0, 1]")
+            raise ValueError(f"flow {k}: p_off must be in [0, 1], got {p}")
         if lam > 0 and p >= 1.0:
             return Margin({"hol_load": -math.inf})
         if lam > 0:
@@ -193,23 +192,15 @@ def _ray_row(cfg: NetworkConfig, m: int) -> tuple[list[float], list[float]]:
 def inner_coefficient(cfg: NetworkConfig, n: int, state: int) -> float:
     """Coefficient c_n(state): the per-slot service weight queue n earns in
     `state` toward its scale a_n, assuming every queue admits on the
-    proportional ray lam = a * p_on**beta."""
+    proportional ray lam = a * p_on**beta. One entry of `inner_coefficients`,
+    which it builds whole."""
     if not (0 <= n < cfg.n_queues):
         raise ValueError(f"queue index {n} out of range")
     if not (0 <= state < (1 << cfg.n_queues)):
         raise ValueError(f"state {state} out of range")
     if not _live_p_on(cfg, n):
         raise ValueError(f"queue {n}: dead queue (every flow has p_on = 0)")
-    if state_bit(state, n) != ON:
-        return 0.0
-    c = _kappa(cfg, n)
-    for m in range(cfg.n_queues):
-        if m == n:
-            continue
-        c *= _state_factor(*_ray_row(cfg, m), state_bit(state, m))
-        if c == 0.0:
-            break
-    return c
+    return float(inner_coefficients(cfg)[n, state])
 
 
 def inner_coefficients(cfg: NetworkConfig) -> np.ndarray:
@@ -217,8 +208,7 @@ def inner_coefficients(cfg: NetworkConfig) -> np.ndarray:
 
     c_n(s) = kappa_n * 1[s_n = ON] * prod_{m != n} f_m(s_m), with f_m queue
     m's state marginal on the ray. The products start from kappa_n and take
-    the f_m in increasing m, the order `inner_coefficient` uses, so the
-    table equals the per-state values bit for bit.
+    the f_m in increasing m.
     """
     n_queues = cfg.n_queues
     kappa = np.array([_kappa(cfg, n) for n in range(n_queues)])
@@ -238,8 +228,8 @@ def check_inner_bound(
     c = inner_coefficients(cfg)
     slacks: dict[str, float] = {}
     for n, a_n in enumerate(a):
-        if a_n < 0:
-            raise ValueError(f"queue {n}: scale must be >= 0, got {a_n}")
+        if not 0.0 <= a_n < math.inf:
+            raise ValueError(f"queue {n}: scale must be finite and >= 0, got {a_n}")
         if not _live_p_on(cfg, n):
             slacks[f"scale[{n}]"] = 0.0 if a_n == 0.0 else -math.inf
             continue

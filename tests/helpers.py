@@ -47,8 +47,7 @@ def objective_and_gradient(cfg: NetworkConfig, tau: np.ndarray) -> tuple[float, 
 # ----- reference per-state region check -----
 
 
-def _reference_state_factor(cfg, lambdas, m, s):
-    lams, p_off = lambdas[m], cfg.p_off_row(m)
+def _reference_state_factor(lams, p_off, s):
     if not any(lam > 0 for lam in lams) or any(
         lam > 0 and p >= 1.0 for lam, p in zip(lams, p_off)
     ):
@@ -75,7 +74,8 @@ def service_region_reference(cfg: NetworkConfig, lambdas, policy: SchedulingPoli
             w = float(policy.tau[s, n])
             for m in range(n_queues):
                 if m != n:
-                    w *= _reference_state_factor(cfg, lambdas, m, state_bit(s, m))
+                    w *= _reference_state_factor(lambdas[m], cfg.p_off_row(m),
+                                                 state_bit(s, m))
             rate += w
         for k, lam in enumerate(lambdas[n]):
             if lam <= 0.0:
@@ -88,6 +88,29 @@ def service_region_reference(cfg: NetworkConfig, lambdas, policy: SchedulingPoli
     for s in range(1 << n_queues):
         slacks[f"grant_sum[{s}]"] = 1.0 - float(np.sum(policy.tau[s]))
     return slacks
+
+
+# ----- reference per-state inner-bound coefficient -----
+
+
+def inner_coefficient_reference(cfg: NetworkConfig, n: int, state: int) -> float:
+    """c_n(state) of `stability.inner_coefficients`, one state at a time.
+
+    With every queue on the ray lam = a * p_on**beta, c_n(s) is
+    kappa_n = 1 / sum_k p_on**(beta - 1) over queue n's live flows, times
+    1[s_n = ON], times each other queue m's state marginal at a = 1 (a
+    cancels from it), taken in increasing m as the table takes them. Queue
+    n must have a live flow.
+    """
+    if state_bit(state, n) != ON:
+        return 0.0
+    c = 1.0 / math.fsum(p**(cfg.beta - 1.0) for p in cfg.p_on_row(n) if p > 0.0)
+    for m in range(cfg.n_queues):
+        if m != n:
+            p_on = cfg.p_on_row(m)
+            c *= _reference_state_factor([p**cfg.beta for p in p_on],
+                                         [1.0 - p for p in p_on], state_bit(state, m))
+    return c
 
 
 # ----- reference maximizers -----

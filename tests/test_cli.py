@@ -314,8 +314,12 @@ _any_json = st.recursive(
                    | st.dictionaries(st.text(max_size=3), inner, max_size=2)),
     max_leaves=4,
 )
-_PLAN_PATHS = ["beta", "M", "r_max", "queues[0].flows[0].p_off",
-               "queues[0].flows[0].lambda", "queues[0].flows", "queues[2].flows[1].p_off"]
+# swept paths, each with a value that is not a number: the structural paths
+# take theirs, but the CSV could not print it
+_PLAN_PATHS = {"beta": True, "M": True, "r_max": True, "queues[0].flows[0].p_off": True,
+               "queues[0].flows[0].lambda": True, "queues[2].flows[1].p_off": True,
+               "queues[0].flows": [{"p_off": 0.2}], "queues[0]": {"flows": [{"p_off": 0.2}]},
+               "utility.kind": "log"}
 
 
 @st.composite
@@ -324,10 +328,11 @@ def _plan(draw):
                   r_max=draw(st.sampled_from([0.5, 2.0, 700.0])))
     config.setdefault("beta", 1.0)
     horizon = draw(st.integers(1, 40))
+    parameter = draw(st.sampled_from(sorted(_PLAN_PATHS)))
+    value = st.sampled_from([1.0, 0.5, 2.0, 0.0, 1e308]) | st.just(_PLAN_PATHS[parameter])
     plan = {"config": config,
-            "parameter": draw(st.sampled_from(_PLAN_PATHS)),
-            "values": draw(st.lists(st.sampled_from([1.0, 0.5, 2.0, 0.0, 1e308]),
-                                    min_size=1, max_size=3)),
+            "parameter": parameter,
+            "values": draw(st.lists(value, min_size=1, max_size=3)),
             "seeds": draw(st.integers(1, 3)),
             "policies": draw(st.lists(st.sampled_from(_POLICY_CHOICES), min_size=1,
                                       max_size=3, unique=True)),
@@ -424,6 +429,14 @@ def test_simulate_summary_fields(tmp_path, capsys):
     assert summary["stability"]["verdict"] in ("stable", "inconclusive")
     assert set(summary["rng_streams"]) == {"channels", "arrivals", "scheduling", "interleave"}
     assert len(summary["admitted_rate"][0]) == 2
+
+
+@pytest.mark.parametrize("policy", _POLICY_CHOICES)
+def test_simulate_summary_names_the_policy(tmp_path, capsys, policy):
+    path = write_cfg(tmp_path, "s.json", [[0.2, 0.5]], lambdas=[[0.1, 0.1]], M=50.0)
+    assert main(["simulate", "--config", path, "--policy", policy,
+                 "--horizon", "1000"]) in (0, 2)
+    assert json.loads(capsys.readouterr().out)["policy"] == policy
 
 
 def test_simulate_is_reproducible(tmp_path, capsys):
@@ -705,6 +718,25 @@ def test_plan_badly_typed_field_is_a_one_line_error(tmp_path, capsys, field):
     captured = capsys.readouterr()
     name = next(iter(field))
     assert captured.err.startswith(f"error: plan: {name}: must be")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("parameter, value", [
+    ("queues[0].flows", [{"p_off": 0.2}]),
+    ("queues[0]", {"flows": [{"p_off": 0.2}]}),
+    ("utility.kind", "log"),
+    ("beta", True),
+])
+def test_sweep_of_a_value_that_is_not_a_number_is_a_one_line_error(tmp_path, capsys,
+                                                                   parameter, value):
+    # the config takes each of these values, but the CSV prints every swept
+    # value as a number, so the plan is refused before the first run
+    plan = write_plan(tmp_path, "p.json", config=make_cfg([[0.2]]).to_dict(),
+                      parameter=parameter, values=[1.0, value], seeds=1,
+                      policies=["qfc"], horizon=50)
+    assert main(["sweep", "--plan", plan]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: plan: values: must be JSON numbers, got ")
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 

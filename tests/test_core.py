@@ -231,6 +231,16 @@ def test_policy_rejects_negative_and_oversubscribed_rows():
         SchedulingPolicy(np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_policy_rejects_non_finite_entries(bad):
+    # a NaN grant passes both checks above, and a static run under it never
+    # grants the slot
+    tau = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    tau[3, 1] = bad
+    with pytest.raises(ValueError, match="state 0b11, queue 1: grant probability must be finite"):
+        SchedulingPolicy(tau)
+
+
 @given(st.integers(min_value=1, max_value=6))
 def test_uniform_over_on_grants_exactly_the_on_mass(n):
     pol = SchedulingPolicy.uniform_over_on(n)

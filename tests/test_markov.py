@@ -5,13 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_cfg
-from wfifo import (
-    joint_state_hol_prob,
-    single_queue_steady_state,
-    state_marginal,
-)
+from wfifo import joint_state_hol_prob, single_queue_steady_state
 from wfifo.core import OFF, ON
-from wfifo.markov import hol_channel_prob, state_weight_ratio
+from wfifo.markov import state_marginal
 
 # Random per-flow (lambda, p_off) rows for property tests. Rates are bounded
 # away from zero so the chain is never empty of traffic.
@@ -82,6 +78,18 @@ def test_loaded_dead_channel_is_an_error():
     assert ss.p_serviceable == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("closed_form", [
+    single_queue_steady_state, lambda lams, p_off: state_marginal(lams, p_off, ON)],
+    ids=["single_queue_steady_state", "state_marginal"])
+def test_non_finite_inputs_are_an_error(closed_form):
+    # a NaN passes every comparison, so it would come out as a NaN probability
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="flow 0: arrival rate must be finite"):
+            closed_form([bad, 0.1], [0.2, 0.3])
+        with pytest.raises(ValueError, match=r"flow 1: p_off must be in \[0, 1\]"):
+            closed_form([0.1, 0.1], [0.2, bad])
+
+
 def test_service_availability_examples():
     def availability(lambdas, p_off):
         return single_queue_steady_state(lambdas, p_off).p_serviceable
@@ -89,17 +97,6 @@ def test_service_availability_examples():
     assert availability([0.2, 0.2], [0.5, 0.0]) == pytest.approx(2 / 3)
     assert availability([0.7], [0.3]) == pytest.approx(0.7)
     assert availability([0.45, 0.45], [0.1, 0.1]) == pytest.approx(0.9)
-
-
-def test_hol_channel_prob():
-    assert hol_channel_prob(0.3, ON) == pytest.approx(0.7)
-    assert hol_channel_prob(0.3, OFF) == pytest.approx(0.3)
-    assert hol_channel_prob(1.0, ON) == 0.0
-
-
-def test_state_weight_ratio():
-    assert state_weight_ratio(0.3, ON) == 1.0
-    assert state_weight_ratio(0.3, OFF) == pytest.approx(0.3 / 0.7)
 
 
 def test_state_marginal_sums_to_one():

@@ -198,11 +198,23 @@ def test_static_policy_input_validation():
         StaticPolicy(cfg, [[0.1], [0.1]], np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_static_policy_rejects_non_finite_inputs(bad):
+    # a NaN rate would admit nothing, and a NaN grant table never grants
+    cfg = make_cfg([[0.2], [0.2, 0.3]])
+    with pytest.raises(ValueError, match=r"rates\[1\]\[0\] must be finite"):
+        StaticPolicy(cfg, [[0.1], [bad, 0.1]], np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="state 0b0, queue 0: grant probability must be finite"):
+        StaticPolicy(cfg, [[0.1], [0.1, 0.1]], np.full((4, 2), bad))
+
+
 def test_static_dfc_policy_replays_solution():
     cfg = make_cfg([[0.1, 0.5], [0.1, 0.5]])
     sol = solve_dfc(cfg)
     pol = static_dfc_policy(cfg, sol)
     assert pol.admission([5, 5], [[3, 2], [4, 1]]) == [list(r) for r in sol.lambdas]
+    # named for what it replays; the exact type sends its runs to the block path
+    assert pol.name == "dfc-static" and type(pol) is StaticPolicy
 
 
 def test_serve_if_on_policy_splits_on_mass():
@@ -218,8 +230,9 @@ def test_build_policy_names():
     cfg = single_queue_cfg([0.1, 0.5], lambdas=[0.2, 0.1])
     assert build_policy(cfg, "qfc").name == "qfc"
     assert build_policy(cfg, "maxweight").name == "maxweight"
-    assert isinstance(build_policy(cfg, "dfc-static"), StaticPolicy)
-    assert isinstance(build_policy(cfg, "static"), StaticPolicy)
+    for name in ("dfc-static", "static"):
+        assert type(build_policy(cfg, name)) is StaticPolicy
+        assert build_policy(cfg, name).name == name
     with pytest.raises(ValueError, match="unknown policy"):
         build_policy(cfg, "fifo")
 

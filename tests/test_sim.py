@@ -403,13 +403,21 @@ def test_open_loop_block_path_reads_channels_of_more_flows_than_an_int64_holds(m
 
 
 @pytest.mark.parametrize("name", ["static", "dfc-static"])
-def test_named_open_loop_policies_take_the_block_path(name):
+def test_named_open_loop_policies_take_the_block_path(name, monkeypatch):
     cfg = make_cfg([[0.2, 0.5], [0.3]], lambdas=[[0.2, 0.1], [0.3]])
     pol = build_policy(cfg, name)
     assert type(pol) is StaticPolicy
     spec = RunSpec(cfg=cfg, policy=pol, horizon=5000, seed=8,
                    arrival_mode="stochastic")
     _assert_same_metrics(run(spec), run(dataclasses.replace(spec, policy=_Delegate(pol))))
+    # run by name, a run takes the block path and carries the policy's name
+    block_runs = []
+    open_loop = sim._run_open_loop
+    monkeypatch.setattr(sim, "_run_open_loop",
+                        lambda *args: block_runs.append(args) or open_loop(*args))
+    m = run(dataclasses.replace(spec, policy=name))
+    assert len(block_runs) == 1 and m.policy_name == name
+    _assert_same_metrics(m, run(spec))
 
 
 # ----- lockstep closed-loop engine against run() -----
@@ -522,10 +530,10 @@ def test_run_batch_runs_a_batch_too_large_for_its_state_counters_in_parts(monkey
 
 
 def test_run_batch_routes_each_spec_and_yields_in_spec_order(monkeypatch):
-    # lockstep takes the group of 5 fluid qfc and max-weight runs of horizon
-    # 400 and warmup 40 (given, or its default), names or a built QfcPolicy;
-    # the 3 of horizon 300 are too few, and every other spec is one lockstep
-    # cannot take, so each of those runs through run()
+    # lockstep takes the group of 4 fluid runs named qfc or maxweight of
+    # horizon 400 and warmup 40 (given, or its default); the 3 of horizon 300
+    # are too few, and every other spec is one lockstep cannot take (a built
+    # QfcPolicy among them), so each of those runs through run()
     cfg = make_cfg([[0.2, 0.5], [0.3]], lambdas=[[0.1, 0.2], [0.3]], M=50.0)
     one = make_cfg([[0.1, 0.6, 0.3]], lambdas=[[0.2, 0.1, 0.1]], M=20.0, r_max=3.5)
     base = RunSpec(cfg=cfg, policy="qfc", horizon=400, warmup=40, seed=5)
@@ -545,7 +553,7 @@ def test_run_batch_routes_each_spec_and_yields_in_spec_order(monkeypatch):
         dataclasses.replace(short, seed=10),
         dataclasses.replace(base, cfg=one, seed=11),
     ]
-    grouped = {0, 3, 6, 10, 12}
+    grouped = {0, 3, 10, 12}
     refs = [run(spec) for spec in specs]
     calls = []
 

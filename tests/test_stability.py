@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_cfg, service_region_reference, single_queue_cfg, uniform_policy
+from helpers import (inner_coefficient_reference, make_cfg, service_region_reference,
+                     single_queue_cfg, uniform_policy)
 from wfifo import (
     SchedulingPolicy,
     best_policy_search,
     check_inner_bound,
     check_service_region,
     check_stability_region,
-    inner_coefficient,
     single_queue_margin,
     sweep_two_queue_boundary,
 )
-from wfifo.stability import Margin, inner_coefficients
+from wfifo.stability import Margin, inner_coefficient, inner_coefficients
 
 SERVE_WHEN_ON_1Q = SchedulingPolicy(np.array([[0.0], [1.0]]))
 
@@ -56,6 +56,16 @@ def test_single_queue_margin_input_checks():
         single_queue_margin([0.1], [1.5])
     with pytest.raises(ValueError, match="length"):
         single_queue_margin([0.1], [0.5, 0.5])
+
+
+def test_single_queue_margin_rejects_non_finite_inputs():
+    # a NaN rate passes every comparison, so it would add NaN to the load
+    # and leave the margin feasible
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="flow 0: arrival rate must be finite"):
+            single_queue_margin([bad, 0.1], [0.2, 0.3])
+        with pytest.raises(ValueError, match=r"flow 1: p_off must be in \[0, 1\]"):
+            single_queue_margin([0.1, 0.1], [0.2, bad])
 
 
 def service_bound(cfg, lambdas, policy, n, k):
@@ -207,16 +217,18 @@ def test_coefficient_table_equals_per_state_coefficients():
                 assert np.all(table[n] == 0.0)
                 continue
             for s in range(1 << cfg.n_queues):
-                assert table[n, s] == inner_coefficient(cfg, n, s)
+                assert table[n, s] == inner_coefficient_reference(cfg, n, s)
+            all_on = (1 << cfg.n_queues) - 1
+            assert inner_coefficient(cfg, n, all_on) == table[n, all_on]
     assert dead_rows > 0
 
 
 def _reference_scale_slack(cfg, a, pol, n):
-    """Per-state fsum over the scalar coefficients."""
+    """Per-state fsum over the reference coefficients."""
     if _is_dead(cfg, n):
         return 0.0 if a[n] == 0.0 else -math.inf
     cap = math.fsum(
-        inner_coefficient(cfg, n, s) * pol.tau[s, n]
+        inner_coefficient_reference(cfg, n, s) * pol.tau[s, n]
         for s in range(1 << cfg.n_queues)
     )
     return cap - a[n]
@@ -254,6 +266,14 @@ def test_inner_bound_dead_queue_scale():
     assert check_inner_bound(cfg, [0.01, 0.1], pol).slacks["scale[0]"] == -math.inf
 
 
+def test_inner_bound_rejects_non_finite_scales():
+    cfg = make_cfg([[0.1], [0.2]])
+    pol = SchedulingPolicy.uniform_over_on(2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="queue 1: scale must be finite"):
+            check_inner_bound(cfg, [0.1, bad], pol)
+
+
 def test_fair_ray_slacks_coincide_up_to_flow_count():
     # beta=1 single queue: the scale cap is 1/K while the load slack at
     # lam_k = a * p_on_k is 1 - K*a, so the two slacks differ by the factor K
@@ -283,7 +303,8 @@ def test_inner_feasible_points_are_region_feasible():
         cfg = make_cfg(rows, beta=beta)
         pol = SchedulingPolicy.uniform_over_on(n_queues)
         caps = [
-            sum(inner_coefficient(cfg, n, s) * pol.tau[s, n] for s in range(1 << n_queues))
+            sum(inner_coefficient_reference(cfg, n, s) * pol.tau[s, n]
+                for s in range(1 << n_queues))
             for n in range(n_queues)
         ]
         a = [0.9 * c for c in caps]
