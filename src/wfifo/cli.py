@@ -389,10 +389,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 _PATH_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)$")
 
+# fields `config_from_dict` reads with a default, which a plan may sweep
+# where its config leaves them out: `ExperimentPlan.load` writes a left-out
+# top-level one at its default, and `_set_field` adds the others
+_TOP_DEFAULTS = {**NetworkConfig(queues=[]).to_dict(), "utility": {}}
+_DEFAULTED = {"utility.kind", "utility.weight", "queues.flows.lambda"}
+
 
 def _set_field(data: dict, path: str, value: Any) -> None:
     node: Any = data
     tokens = path.split(".")
+    optional = re.sub(r"\[\d+\]", "", path) in _DEFAULTED
     for i, token in enumerate(tokens):
         m = _PATH_TOKEN.match(token)
         if m is None:
@@ -400,7 +407,8 @@ def _set_field(data: dict, path: str, value: Any) -> None:
         name, idx_part = m.group(1), m.group(2)
         indexes = [int(v) for v in re.findall(r"\[(\d+)\]", idx_part)]
         last = i == len(tokens) - 1
-        if not isinstance(node, dict) or name not in node:
+        if not isinstance(node, dict) or name not in node and not (
+                last and not indexes and optional):
             raise ConfigError(f"plan: unknown parameter path {path!r}")
         if last and not indexes:
             node[name] = value
@@ -450,13 +458,19 @@ class ExperimentPlan:
         config = raw["config"]
         if isinstance(config, str):
             config = read_json(Path(path).parent / config)
+        parameter = str(raw["parameter"])
+        top = parameter.split(".")[0]
+        if isinstance(config, dict) and top in _TOP_DEFAULTS and top not in config:
+            # the swept field is written out at its default, so that leaving
+            # it out and writing it give one plan and one CSV
+            config = {**config, top: _TOP_DEFAULTS[top]}
         for key in ("values", "policies"):
             if not isinstance(raw[key], list):
                 raise ConfigError(f"plan: {key}: must be a list, got {raw[key]!r}")
         warmup = raw.get("warmup")
         plan = cls(
             config=config,
-            parameter=str(raw["parameter"]),
+            parameter=parameter,
             values=raw["values"],
             seeds=_plan_int("seeds", raw["seeds"]),
             policies=[str(p) for p in raw["policies"]],

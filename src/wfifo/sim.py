@@ -51,12 +51,23 @@ per queue (queue n is ON in slot t when U[t, n] >= the p_off of its HOL
 flow), and "scheduling" as above (the slot goes to the int(u * n_on)-th ON
 queue in queue order). "arrivals" gives the HOL draws: one uniform per queue
 at the start, then one per departure in slot order, each mapped through that
-queue's cumulative mix. A slot with any HOL channel ON has a departure, and
-every other slot leaves the HOL vector as it is, so the engine steps from
-departure to departure over per-block next-ON tables. It takes the arrival
-uniforms a block ahead as vectors, which are the values one draw per
-departure returns, in the same order; nothing reads the stream after the
-horizon, so uniforms drawn past the last departure change nothing.
+queue's cumulative mix. A queue whose cumulative mix opens one interval is
+fixed: its departures take their draws, but its HOL never changes. The HOL
+vector of the other queues, the movers, changes only when a mover departs,
+so the engine steps from event to event, an event being a mover's
+departure. For each HOL vector a block reaches, one vectorized pass over the
+block gives every slot's channel state, its grant (read from a (2**N, N)
+table of the j-th ON queue of each state), the next event slot, and, when a
+queue is fixed, the departures so far, which index the draws. The loop runs
+once per event and switches tables only when the refill changes the mover's
+HOL; a lone queue departs whenever it is ON and switches at each departure.
+A block builds at most `_SATURATED_TABLES` tables and takes the slots past
+that cap one at a time, from the same per-(queue, flow) ON bits and select
+table. The per-slot HOL vectors, and from them the counts, are rebuilt from
+the recorded HOL changes. The engine takes the arrival uniforms a block
+ahead as vectors, which are the values one draw per departure returns, in
+the same order; nothing reads the stream after the horizon, so uniforms
+drawn past the last departure change nothing.
 
 A `StaticPolicy` (static, dfc-static, serve-if-on) admits independently of
 the state, so `run` gives it a block path: a block's arrival counts and
@@ -95,6 +106,12 @@ from .core import ConfigError, NetworkConfig
 from .policies import MaxWeightPolicy, Policy, QfcPolicy, StaticPolicy, build_policy
 
 _BLOCK = 4096
+
+# most event tables one block of `run_saturated` builds before it takes the
+# rest of the block slot by slot. 8 covers two queues of 3 and 2 flows (6
+# HOL vectors); on 3-8 queues of 2-3 flows each, whose HOL vector changes at
+# most slots, 8 tables ran 10-15% slower than 2, and 32 up to 1.7x slower
+_SATURATED_TABLES = 8
 
 # largest rate the Poisson sampler takes: e**-rate stays a normal float
 POISSON_RATE_MAX = 700.0
@@ -667,10 +684,11 @@ def run_saturated(
     random serviceable queue, a channel-state-only rule under which the
     stationary HOL statistics factor per queue.
 
-    The HOL vector changes only at departures, and a slot with any HOL
-    channel ON has one, so the loop steps from departure to departure over
-    per-block next-ON tables and the counts are block reductions of the
-    departures it records.
+    A queue with one flow that can be drawn is fixed; the loop runs once per
+    departure of any other queue, over per-block event tables, one per HOL
+    vector the block reaches and at most `_SATURATED_TABLES` of them, and
+    takes a block's slots past that cap one by one. The counts are block
+    reductions of the HOL changes it records (see the module docstring).
     """
     errs = cfg.validate()
     if errs:
@@ -706,6 +724,26 @@ def run_saturated(
     k_max = max(cfg.n_flows(n) for n in qs)
     # rows padded with flows that are never at the head
     p_off = np.array([row + [1.0] * (k_max - len(row)) for row in map(cfg.p_off_row, qs)])
+    on_bit = (np.arange(1 << n_queues)[:, None] >> np.arange(n_queues)) & 1
+    n_on = on_bit.sum(axis=1)
+    # select[s, j]: the j-th ON queue of channel state s in queue order, -1
+    # past the last, so a slot with every channel OFF grants -1
+    select = np.where(np.arange(n_queues) < n_on[:, None],
+                      np.argsort(1 - on_bit, axis=1, kind="stable"), -1)
+    # a queue whose cumulative mix opens one interval is fixed: its HOL never
+    # changes. The other queues move, and their departures are the events
+    opens = [(np.diff(c, prepend=0.0) > 0).tolist() for c in cum_mix]
+    moves = [sum(o) > 1 for o in opens]
+    movers = [n for n in qs if moves[n]]
+    fixed = len(movers) < n_queues
+    solo = not fixed and n_queues == 1
+    event_at = np.array(moves + [False])  # by grant, -1 (no grant) last
+    mover = [movers[0]] * _BLOCK if len(movers) == 1 else None  # each event's grant
+    stride = [0] * n_queues  # a table's key: sum of stride[n] * hol[n]
+    n_keys = 1
+    for n in movers:
+        stride[n] = n_keys
+        n_keys *= cfg.n_flows(n)
     rng_ch = _stream(seed, "channels")
     rng_ar = _stream(seed, "arrivals")
     rng_sc = _stream(seed, "scheduling")
@@ -720,74 +758,125 @@ def run_saturated(
     for b0 in range(0, horizon, _BLOCK):
         size = min(_BLOCK, horizon - b0)
         u_ch = rng_ch.random((_BLOCK, n_queues))[:size]
-        u_sc = rng_sc.random(_BLOCK)[:size].tolist()
+        u_sc = rng_sc.random(_BLOCK)[:size]
         if draws.size < size:  # at most one departure per slot
             draws = np.concatenate([draws, rng_ar.random(_BLOCK)])
-        refills = np.array([np.searchsorted(c, draws[:size], side="right")
-                            for c in cum_mix])
-        refill_rows = refills.tolist()
-        # nxt[n][k][t]: first slot >= t where queue n is ON with flow k at
-        # its head, `size` if none is left in the block
+        refills = [np.searchsorted(c, draws[:size], side="right") for c in cum_mix]
+        refill = [r.tolist() for r in refills]
+        # on[n][k]: queue n's bit of the channel state in each slot, flow k
+        # at its head
+        on = [[(u_ch[:, n] >= p) << n for p in cfg.p_off_row(n)] for n in qs]
         slots = np.arange(size)
-        nxt = [
-            [np.minimum.accumulate(
-                np.where(u_ch[:, n] >= p, slots, size)[::-1])[::-1].tolist() + [size]
-             for p in cfg.p_off_row(n)]
-            for n in qs
-        ]
 
-        tabs = [nxt[n][hol[n]] for n in qs]
-        cand = [tab[0] for tab in tabs]
-        grant = [-1] * size
-        d = 0
-        while True:
-            t = min(cand)
-            if t == size:
-                break
-            c = cand.count(t)
-            n = cand.index(t)
-            if c > 1:  # the int(u * c)-th ON queue in queue order
-                for _ in range(int(u_sc[t] * c)):
-                    n = cand.index(t, n + 1)
-                grant[t] = n
-                tabs[n] = nxt[n][refill_rows[n][d]]
+        def table(h: list[int]) -> tuple:
+            """With the HOL vector held at h, per slot t: the first event slot
+            >= t (`size` if none, and at t = size), the grant, and if a queue
+            is fixed, the departures up to t (0 at t = -1). Memoryviews, as
+            most entries are never read."""
+            state = sum(on[n][h[n]] for n in qs)
+            if solo:
+                event = state
+            else:
+                grant = select[state, (u_sc * n_on[state]).astype(np.int64)]
+                event = event_at[grant]
+            nxt = np.append(np.minimum.accumulate(np.where(event, slots, size)[::-1])[::-1], size)
+            return (memoryview(nxt), mover or memoryview(grant),
+                    memoryview(np.append(np.cumsum(grant >= 0), 0)) if fixed else None)
+
+        h = hol[:]
+        changes: list[int] = []  # slot, queue and new HOL flow of each change
+        t = d = 0  # d departures before slot t
+        if solo:  # the queue departs whenever ON, to the table of its refill
+            tabs = [table([k])[0] if opens[0][k] else None for k in range(k_max)]
+            rf = refill[0]
+            deps = []
+            t = tabs[h[0]][0]
+            while t < size:
+                deps.append(t)
+                t = tabs[rf[d]][t + 1]
                 d += 1
-                for m in qs:
-                    if cand[m] == t:
-                        cand[m] = tabs[m][t + 1]
-                continue
-            # queue n alone is ON: it departs at each of its next-ON slots
-            # until another queue's comes first (a tie is left to the
-            # branch above); t < limit here, so `tab` is always set
-            cand[n] = size
-            limit = min(cand)
-            nx, rf = nxt[n], refill_rows[n]
-            while t < limit:
-                grant[t] = n
-                tab = nx[rf[d]]
-                d += 1
-                t = tab[t + 1]
-            cand[n] = t
-            tabs[n] = tab
+            if d:
+                h[0] = rf[d - 1]
+            changes = np.column_stack((deps, np.zeros(d, dtype=np.int64), refills[0][:d]))
+        else:
+            key = sum(stride[n] * h[n] for n in qs)
+            nxt, grant, count = table(h)
+            tables = {key: (nxt, grant, count)}
+            if not fixed:  # every departure is an event
+                while True:
+                    e = nxt[t]
+                    if e == size:
+                        t = size
+                        break
+                    n = grant[e]
+                    k = refill[n][d]
+                    d += 1
+                    t = e + 1
+                    if k != h[n]:
+                        changes += e, n, k
+                        key += stride[n] * (k - h[n])
+                        h[n] = k
+                        tab = tables.get(key)
+                        if tab is None:
+                            if len(tables) == _SATURATED_TABLES:
+                                break
+                            tab = tables[key] = table(h)
+                        nxt, grant, count = tab
+            else:
+                off = 0  # off + count[t - 1] departures before slot t
+                while True:
+                    e = nxt[t]
+                    if e == size:
+                        t, d = size, off + count[size - 1]
+                        break
+                    n = grant[e]
+                    k = refill[n][off + count[e - 1]]
+                    t = e + 1
+                    if k != h[n]:
+                        changes += e, n, k
+                        key += stride[n] * (k - h[n])
+                        h[n] = k
+                        off += count[e]
+                        tab = tables.get(key)
+                        if tab is None:
+                            if len(tables) == _SATURATED_TABLES:
+                                d = off
+                                break
+                            tab = tables[key] = table(h)
+                        nxt, grant, count = tab
+                        off -= count[e]
+        if t < size:  # past the table cap: slot by slot, from the same ON bits
+            on_rows = [[row.tolist() for row in on_n] for on_n in on]
+            rows = [on_rows[n][h[n]] for n in qs]
+            sel, n_on_s, u_pick = select.tolist(), n_on.tolist(), u_sc.tolist()
+            for t in range(t, size):
+                s = 0
+                for row in rows:
+                    s += row[t]
+                if s:
+                    n = sel[s][int(u_pick[t] * n_on_s[s])]
+                    if moves[n]:
+                        k = refill[n][d]
+                        if k != h[n]:
+                            changes += t, n, k
+                            h[n] = k
+                            rows[n] = on_rows[n][k]
+                    d += 1
         draws = draws[d:]
 
         # per-slot HOL flows: a queue's HOL changes the slot after it departs
-        g = np.array(grant, dtype=np.int64)
-        ts = np.flatnonzero(g >= 0)
-        qd = g[ts]
-        new_k = refills[qd, np.arange(d)]
         hols = np.empty((size, n_queues), dtype=np.int64)
+        ch = np.array(changes, dtype=np.int64).reshape(-1, 3)
         for n in qs:
-            mine = qd == n
-            ks = np.concatenate(([hol[n]], new_k[mine]))
-            hols[:, n] = np.repeat(ks, np.diff(np.concatenate(([0], ts[mine] + 1, [size]))))
-            hol[n] = int(ks[-1])
+            mine = ch[ch[:, 1] == n]
+            ks = np.concatenate(([hol[n]], mine[:, 2]))
+            hols[:, n] = np.repeat(ks, np.diff(np.concatenate(([0], mine[:, 0] + 1, [size]))))
+        hol = h
         state = (u_ch >= p_off[qs, hols]) @ (1 << np.arange(n_queues))
         flat = (state[:, None] * n_queues + np.arange(n_queues)) * k_max + hols
         joint += np.bincount(flat.ravel(), minlength=joint.size).reshape(joint.shape)
 
     # every count is a marginal of the joint state-and-HOL counts
-    on_bit = (np.arange(1 << n_queues)[:, None] >> np.arange(n_queues)) & 1
     hol_count = joint.sum(axis=0)
     z0 = (joint.sum(axis=2) * on_bit).sum(axis=0)
     blocked = (joint * (1 - on_bit)[:, :, None]).sum(axis=0)

@@ -127,7 +127,14 @@ def check_service_region(
     if policy.n_queues != cfg.n_queues:
         raise ValueError("policy is sized for a different number of queues")
     rows = [(lambdas[m], cfg.p_off_row(m)) for m in range(cfg.n_queues)]
-    grant = (_served_products(_factors(rows), np.ones(len(rows))) * policy.tau.T).sum(axis=1)
+    return _service_margin(rows, _served_products(_factors(rows), np.ones(len(rows))), policy)
+
+
+def _service_margin(rows: list[tuple[list[float], list[float]]], weights: np.ndarray,
+                    policy: SchedulingPolicy) -> Margin:
+    """`check_service_region`'s margin, given the queues' (rates, p_off) rows
+    and their `_served_products` from 1."""
+    grant = (weights * policy.tau.T).sum(axis=1)
     slacks: dict[str, float] = {}
     for n, (lams, p_off) in enumerate(rows):
         absorbing = _absorbing(lams, p_off)
@@ -312,8 +319,12 @@ def best_policy_search(
         tau[0b11] = [x, 1.0 - x]
         return SchedulingPolicy(tau)
 
+    # the rates are fixed, so one grant-weight table serves every split
+    rows = [(lambdas[m], cfg.p_off_row(m)) for m in range(n_queues)]
+    weights = _served_products(_factors(rows), np.ones(n_queues))
+
     def rate_slacks(x: float) -> np.ndarray:
-        margin = check_service_region(cfg, lambdas, split(x))
+        margin = _service_margin(rows, weights, split(x))
         return np.array([v for key, v in margin.slacks.items() if key.startswith("rate")])
 
     at0, at1 = rate_slacks(0.0), rate_slacks(1.0)
@@ -333,4 +344,4 @@ def best_policy_search(
     # max keeps the first of equal values, so ties go to the smallest x
     best_x = max(sorted(candidates), key=worst)
     policy = split(best_x)
-    return policy, check_service_region(cfg, lambdas, policy)
+    return policy, _service_margin(rows, weights, policy)

@@ -754,6 +754,19 @@ _SATURATED_CASES = [
     ([[0.9], [0.5, 0.0], [0.7, 0.3], [0.85]], [[1.0], [0.6, 0.0], [0.5, 0.5], [1.0]]),
     ([[0.6, 0.2], [0.9], [0.5], [0.3, 1.0, 0.8], [0.75]],
      [[0.5, 0.5], [1.0], [1.0], [0.3, 0.0, 0.7], [1.0]]),
+    # a fixed queue (one flow ever at the head) between multi-flow queues
+    ([[0.5, 0.1, 0.7], [0.2, 0.6], [0.4, 0.3]],
+     [[0.3, 0.3, 0.4], [0.0, 1.0], [0.5, 0.5]]),
+    # a positive share too small to open an interval: the queue is fixed
+    ([[0.3, 0.6], [0.45, 0.2]], [[1.0, 1e-300], [0.6, 0.4]]),
+    # fixed queues only
+    ([[0.5], [0.3, 0.9], [0.7, 0.2]], [[1.0], [0.0, 1.0], [1.0, 1e-300]]),
+    # more HOL vectors than one block builds tables for, with and without a
+    # fixed queue
+    ([[0.3, 0.6, 0.1], [0.5, 0.2, 0.8], [0.4, 0.7, 0.0], [0.9, 0.35, 0.55]],
+     [[0.3, 0.3, 0.4], [0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.6, 0.2, 0.2]]),
+    ([[0.3, 0.6, 0.1], [0.5, 0.2], [0.4, 0.7, 0.0], [0.8], [0.35, 0.55]],
+     [[0.3, 0.3, 0.4], [0.5, 0.5], [0.4, 0.4, 0.2], [1.0], [0.6, 0.4]]),
 ]
 
 

@@ -363,6 +363,19 @@ def test_best_policy_search_beats_fixed_policies():
             assert worst_rate_slack(best) >= worst_rate_slack(fixed_margin) - 1e-9
 
 
+def test_best_policy_search_margin_is_check_service_region():
+    # the search builds the grant weights once; its margin must still be
+    # check_service_region's on the policy it returns, bit for bit
+    rng = np.random.default_rng(18)
+    for _ in range(50):
+        sizes = rng.integers(1, 4, size=2)
+        rows = [rng.uniform(0.0, 0.9, int(k)).tolist() for k in sizes]
+        lams = [rng.uniform(0.0, 0.4, int(k)).tolist() for k in sizes]
+        cfg = make_cfg(rows)
+        policy, margin = best_policy_search(cfg, lams)
+        assert margin.slacks == check_service_region(cfg, lams, policy).slacks
+
+
 def test_best_policy_search_caps_queue_count():
     cfg = make_cfg([[0.1], [0.1], [0.1]])
     with pytest.raises(ValueError, match="two queues"):
