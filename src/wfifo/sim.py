@@ -109,8 +109,9 @@ _BLOCK = 4096
 
 # most event tables one block of `run_saturated` builds before it takes the
 # rest of the block slot by slot. 8 covers two queues of 3 and 2 flows (6
-# HOL vectors); on 3-8 queues of 2-3 flows each, whose HOL vector changes at
-# most slots, 8 tables ran 10-15% slower than 2, and 32 up to 1.7x slower
+# HOL vectors); on 3, 4, 5 and 8 queues of 2-3 flows each, whose HOL vector
+# changes at most slots, 8 tables ran 10-15% slower than 2, and 32 up to
+# 1.7x slower
 _SATURATED_TABLES = 8
 
 # largest rate the Poisson sampler takes: e**-rate stays a normal float
