@@ -389,17 +389,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 _PATH_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)$")
 
-# fields `config_from_dict` reads with a default, which a plan may sweep
-# where its config leaves them out: `ExperimentPlan.load` writes a left-out
-# top-level one at its default, and `_set_field` adds the others
-_TOP_DEFAULTS = {**NetworkConfig(queues=[]).to_dict(), "utility": {}}
-_DEFAULTED = {"utility.kind", "utility.weight", "queues.flows.lambda"}
+# a flow's arrival rate has no default, so a plan may sweep it where its
+# config leaves it out
+_FLOW_LAMBDA = re.compile(r"queues\[\d+\]\.flows\[\d+\]\.lambda")
+
+
+def _fill_default(config: Any, path: str) -> None:
+    """Write the numeric field `path` names at its `NetworkConfig` default
+    where the config leaves it out (beta, M, r_max, utility.weight), so that
+    leaving it out and writing that default out give one plan and one CSV."""
+    node, default = config, NetworkConfig(queues=[]).to_dict()
+    *heads, leaf = path.split(".")
+    for name in heads:
+        if not (isinstance(node, dict) and isinstance(default.get(name), dict)):
+            return
+        node, default = node.setdefault(name, {}), default[name]
+    if isinstance(node, dict) and isinstance(default.get(leaf), float):
+        node.setdefault(leaf, default[leaf])
 
 
 def _set_field(data: dict, path: str, value: Any) -> None:
     node: Any = data
     tokens = path.split(".")
-    optional = re.sub(r"\[\d+\]", "", path) in _DEFAULTED
+    optional = _FLOW_LAMBDA.fullmatch(path) is not None
     for i, token in enumerate(tokens):
         m = _PATH_TOKEN.match(token)
         if m is None:
@@ -407,8 +419,7 @@ def _set_field(data: dict, path: str, value: Any) -> None:
         name, idx_part = m.group(1), m.group(2)
         indexes = [int(v) for v in re.findall(r"\[(\d+)\]", idx_part)]
         last = i == len(tokens) - 1
-        if not isinstance(node, dict) or name not in node and not (
-                last and not indexes and optional):
+        if not isinstance(node, dict) or name not in node and not (last and optional):
             raise ConfigError(f"plan: unknown parameter path {path!r}")
         if last and not indexes:
             node[name] = value
@@ -459,11 +470,7 @@ class ExperimentPlan:
         if isinstance(config, str):
             config = read_json(Path(path).parent / config)
         parameter = str(raw["parameter"])
-        top = parameter.split(".")[0]
-        if isinstance(config, dict) and top in _TOP_DEFAULTS and top not in config:
-            # the swept field is written out at its default, so that leaving
-            # it out and writing it give one plan and one CSV
-            config = {**config, top: _TOP_DEFAULTS[top]}
+        _fill_default(config, parameter)
         for key in ("values", "policies"):
             if not isinstance(raw[key], list):
                 raise ConfigError(f"plan: {key}: must be a list, got {raw[key]!r}")

@@ -787,6 +787,9 @@ def run_saturated(
         h = hol[:]
         changes: list[int] = []  # slot, queue and new HOL flow of each change
         t = d = 0  # d departures before slot t
+        # the two count-free loops are measured specializations of the last
+        # one, which is right for every input but ran 1.9x slower on one
+        # queue and 1.1-1.3x slower on two multi-flow queues (BENCH_18.json)
         if solo:  # the queue departs whenever ON, to the table of its refill
             tabs = [table([k])[0] if opens[0][k] else None for k in range(k_max)]
             rf = refill[0]

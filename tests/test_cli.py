@@ -689,25 +689,30 @@ def test_plan_validation_errors(tmp_path):
 def test_sweep_of_a_left_out_optional_field(tmp_path, capsys):
     # config_from_dict gives beta, M, r_max, utility.weight and a flow's
     # lambda defaults, so a plan may sweep them where its config leaves them
-    # out; writing the default out changes nothing, not even the digest
+    # out; writing the swept field out at its default changes nothing, not
+    # even the digest
     flows = [{"p_off": 0.2}, {"p_off": 0.5}]
     plan = dict(parameter="beta", values=[1.0, 2.0], seeds=1, policies=["qfc"], horizon=300)
-    csv = []
-    for config in ({"queues": [{"flows": flows}]},
-                   {"beta": 1.0, "queues": [{"flows": flows}]}):
-        out = tmp_path / f"s{len(csv)}.csv"
-        argv = ["sweep", "--plan", write_plan(tmp_path, "p.json", config=config, **plan),
-                "--out", str(out)]
-        assert main(argv) == 0
-        csv.append(out.read_bytes())
-    assert csv[0] == csv[1]
+    for parameter, written in (("beta", {"beta": 1.0}),
+                               ("utility.weight", {"utility": {"weight": 1.0}})):
+        csv = []
+        for config in ({"queues": [{"flows": flows}]},
+                       {**written, "queues": [{"flows": flows}]}):
+            out = tmp_path / f"s{len(csv)}.csv"
+            argv = ["sweep", "--plan", write_plan(tmp_path, "p.json", config=config,
+                                                  **dict(plan, parameter=parameter)),
+                    "--out", str(out)]
+            assert main(argv) == 0
+            csv.append(out.read_bytes())
+        assert csv[0] == csv[1]
     for parameter in ("M", "r_max", "utility.weight", "queues[0].flows[1].lambda"):
         swept = ExperimentPlan.load(write_plan(
             tmp_path, "q.json", config={"queues": [{"flows": flows}]},
             **dict(plan, parameter=parameter, values=[0.25])))
         assert swept.config_at(0.25).to_dict() != swept.config_at(0.5).to_dict()
     # a name config_from_dict does not read stays an error
-    for parameter in ("gamma", "queues[0].flows[1].mu", "queues[0].flows[1].lambda[0]"):
+    for parameter in ("gamma", "utility.kind", "utility.gamma", "queues[0].flows[1].mu",
+                      "queues[0].flows[1].lambda[0]"):
         with pytest.raises(ConfigError, match="unknown parameter path"):
             ExperimentPlan.load(write_plan(
                 tmp_path, "r.json", config={"queues": [{"flows": flows}]},

@@ -761,6 +761,10 @@ _SATURATED_CASES = [
     ([[0.3, 0.6], [0.45, 0.2]], [[1.0, 1e-300], [0.6, 0.4]]),
     # fixed queues only
     ([[0.5], [0.3, 0.9], [0.7, 0.2]], [[1.0], [0.0, 1.0], [1.0, 1e-300]]),
+    # every queue multi-flow, with no more HOL vectors (4 and 8) than one
+    # block builds tables for
+    ([[0.4, 0.1], [0.3, 0.7]], [[0.5, 0.5], [0.4, 0.6]]),
+    ([[0.2, 0.6], [0.5, 0.1], [0.35, 0.8]], [[0.7, 0.3], [0.5, 0.5], [0.4, 0.6]]),
     # more HOL vectors than one block builds tables for, with and without a
     # fixed queue
     ([[0.3, 0.6, 0.1], [0.5, 0.2, 0.8], [0.4, 0.7, 0.0], [0.9, 0.35, 0.55]],
