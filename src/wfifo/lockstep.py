@@ -85,6 +85,8 @@ def run_batch(specs: Sequence[RunSpec]) -> Iterator[TraceMetrics]:
     done: dict[int, TraceMetrics] = {}
     for (horizon, warmup), members in groups.items():
         if len(members) >= LOCKSTEP_MIN_RUNS:
+            # qfc runs first, as `_lockstep` takes them
+            members.sort(key=lambda m: type(m[1]) is not QfcPolicy)
             idx, pols = zip(*members)
             done.update(zip(idx, _lockstep([specs[i] for i in idx], list(pols), horizon, warmup)))
     for i, spec in enumerate(specs):
@@ -98,6 +100,7 @@ _STATE_ENTRIES_MAX = 1 << 21
 
 def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
               warmup: int) -> list[TraceMetrics]:
+    """The runs of one lockstep group, its qfc runs first."""
     cfgs = [spec.cfg for spec in specs]
     n_runs = len(specs)
     nq = max(cfg.n_queues for cfg in cfgs)
@@ -110,13 +113,14 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
     width = nk + 1  # channel columns per row; column nk is the sentinel's
 
     # admission of flow k in row i: fmin(r_max, num / backlog) * pb, where
-    # backlog is the queue's (qfc) or the flow's own (max-weight); a zero
-    # backlog gives num / 0 = inf, and fmin maps inf (and 0 / 0) to r_max.
-    # Per-flow tables have a column for the sentinel too, which never admits
+    # backlog is the queue's in the first n_qfc rows (qfc) and the flow's own
+    # in the rest (max-weight); a zero backlog gives num / 0 = inf, and fmin
+    # maps inf (and 0 / 0) to r_max. Per-flow tables have a column for the
+    # sentinel too, which never admits
+    n_qfc = nq * sum(type(pol) is QfcPolicy for pol in pols)
     num = np.ones((n_rows, width))
     pb = np.zeros((n_rows, width))
     r_max = np.ones((n_rows, width))
-    by_queue = np.zeros((n_rows, 1), dtype=bool)
     sched_w = np.zeros(n_rows)
     on_cols, p_off, ub = [], [], 1
     for r, (cfg, pol) in enumerate(zip(cfgs, pols)):
@@ -125,7 +129,6 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
         for n in range(cfg.n_queues):
             i, k = r * nq + n, cfg.n_flows(n)
             r_max[i] = pol.r_max
-            by_queue[i] = qfc
             num[i, :k] = pol.mk[n] if qfc else pol.mw
             pb[i, :k] = pol.pon_beta[n] if qfc else 1.0
             sched_w[i] = pol.sched_w[n] if qfc else 1.0
@@ -147,6 +150,10 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
     adm = np.zeros((n_rows, width), dtype=np.int64)  # per-flow admissions
     qf_flat = qf.reshape(-1)  # indexed by a row's flat HOL column, as `on` is
     q = np.zeros(n_rows)
+    ones_w = np.ones(width)
+    # the two admission divisions, on views that stay current
+    v_queue, num_queue, q_queue = v[:n_qfc], num[:n_qfc], q[:n_qfc, None]
+    v_flow, num_flow, qf_flow = v[n_qfc:], num[n_qfc:], qf[n_qfc:]
     cnt_log = np.zeros((_WINDOW, n_rows, width))  # a window's admitted counts
     live = (r_max * pb > 0.0).any(1)  # rows whose flows can admit
     flow_ids = np.tile(np.arange(width, dtype=np.min_scalar_type(-width)), _WINDOW * n_rows)
@@ -211,7 +218,8 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
                         sq[g] = sv[g]
 
                     # admission and the fluid step, counts logged for the window
-                    np.divide(num, np.where(by_queue, q[:, None], qf), out=v)
+                    np.divide(num_queue, q_queue, out=v_queue)
+                    np.divide(num_flow, qf_flow, out=v_flow)
                     np.fmin(r_max, v, out=v)
                     np.multiply(v, pb, out=v)
                     np.add(frac, v, out=v)
@@ -223,7 +231,7 @@ def _lockstep(specs: list[RunSpec], pols: list[Policy], horizon: int,
                     # serve the granted HOL packets
                     head += sq
                     qf_flat[hol_at] -= sq
-                    np.add.reduce(qf, 1, out=q)
+                    np.dot(qf, ones_w, out=q)  # exact: integers below 2**53
 
                 # sum the window's admissions and write its arrivals: slot-major,
                 # then row, flows in index order, each repeated by its count;

@@ -63,18 +63,25 @@ once per event and switches tables only when the refill changes the mover's
 HOL; a lone queue departs whenever it is ON and switches at each departure.
 A block builds at most `_SATURATED_TABLES` tables and takes the slots past
 that cap one at a time, from the same per-(queue, flow) ON bits and select
-table. The per-slot HOL vectors, and from them the counts, are rebuilt from
-the recorded HOL changes. The engine takes the arrival uniforms a block
-ahead as vectors, which are the values one draw per departure returns, in
+table. Each table keeps its per-slot channel states, and the loop records
+the slot from which each table holds, so one bincount over (table, state)
+pairs counts the table slots; only the slots past the cap have their HOL
+vectors rebuilt from the recorded HOL changes. The engine takes the arrival
+uniforms a block ahead as vectors, which are the values one draw per departure returns, in
 the same order; nothing reads the stream after the horizon, so uniforms
 drawn past the last departure change nothing.
 
 A `StaticPolicy` (static, dfc-static, serve-if-on) admits independently of
 the state, so `run` gives it a block path: a block's arrival counts and
 per-queue arrival sequences are drawn and interleaved up front, and the slot
-loop only moves one head pointer per queue. It reads the streams as the
-per-slot loop does and gives the same metrics seed for seed; the per-slot
-loop stays the reference for every other policy.
+loop only moves one head pointer per queue. A lone queue steps once per
+packet instead: per flow, a next-chance table gives the first slot at or
+after t in which the flow is ON and the grant draw is below the state-1
+grant, so each packet departs at its flow's next chance after the previous
+departure and its own arrival, and every slot's state, grant and backlog
+come from the departures in vector operations. The block path reads the
+streams as the per-slot loop does and gives the same metrics seed for
+seed; the per-slot loop stays the reference for every other policy.
 
 `lockstep.run_batch` is the entry point for many runs: it yields `run`'s
 metrics for each spec, seed for seed, and advances fluid qfc and max-weight
@@ -91,6 +98,7 @@ in Python ints, so the least-squares slope is exact and rounded once.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import sys
 from array import array
@@ -452,10 +460,10 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
     Admission does not depend on the state, so each block's arrival counts
     and per-queue arrival sequences (flow ids in service order) are drawn
     before its slots run, from the same streams in the same order as the
-    per-slot loop. The only sequential state is one head pointer per queue:
-    the slot loop reads HOL channels, walks the cumulative grant row and
-    advances a head pointer. Every metric is a per-block reduction, and
-    served packets are trimmed from the sequences after each block.
+    per-slot loop. The only sequential state is one head pointer per queue,
+    which `_slot_steps` moves a slot and `_packet_steps` (one queue) a packet
+    at a time. Every metric is a per-block reduction, and served packets are
+    trimmed from the sequences after each block.
     """
     cfg = spec.cfg
     horizon = spec.horizon
@@ -492,12 +500,12 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
 
     record = spec.record_trace
     arrival_log: list[list[tuple[int, int]]] = [[] for _ in qs]
-    grant_log: list[int] = []
+    grant_log: list[np.ndarray] = []
 
     for b0 in range(0, horizon, _BLOCK):
         size = min(_BLOCK, horizon - b0)
-        on_rows = ((rng_ch.random((_BLOCK, n_flows))[:size] >= p_off) @ flow_bits).tolist()
-        u_sched = rng_sc.random(_BLOCK)[:size].tolist()
+        on = rng_ch.random((_BLOCK, n_flows))[:size] >= p_off
+        u_sched = rng_sc.random(_BLOCK)[:size]
         counts = np.zeros((size, n_flows), dtype=np.int64)
         if fluid:
             for f in live:
@@ -516,33 +524,16 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
         seqs = [seq[queue_of[seq] == n].tolist() for n in qs]
 
         queued = firsts + np.array([len(p) for p in pending])  # start of slot t
-        avail = queued.T.tolist()
         seq_q = [pending[n] + seqs[n] for n in qs]
-        heads = [0] * n_queues
-        states = [0] * size
-        grants = [-1] * size
-        for t in range(size):
-            row = on_rows[t]
-            s = 0
-            for n in qs:
-                h = heads[n]
-                if h < avail[n][t] and row >> seq_q[n][h] & 1:
-                    s |= 1 << n
-            if s:
-                states[t] = s
-                c = cum_rows.get(s)
-                if c is None:
-                    c = cum_rows[s] = cum[s].tolist()
-                u = u_sched[t]
-                for n in qs:
-                    if u < c[n]:
-                        if s >> n & 1:
-                            heads[n] += 1
-                            grants[t] = n
-                        break
-
-        grant = np.array(grants, dtype=np.int64)
-        state = np.array(states, dtype=np.int64)
+        if n_queues == 1:
+            # a step per packet, not per slot: the 20 runs of criterion 02's
+            # pool (200,000 slots each) took 1.47 s against 2.19 s for the
+            # slot loop, faster in 10 of 10 in-process pairs (BENCH_19.json)
+            heads, state, grant = _packet_steps(on, u_sched < cum[1, 0], live, seq_q[0],
+                                                arrived[:, 0], queued[:, 0])
+        else:
+            heads, state, grant = _slot_steps(on @ flow_bits, u_sched, cum, cum_rows,
+                                              seq_q, queued)
         left = grant[:, None] == np.arange(n_queues)
         done = np.cumsum(left, axis=0) - left  # departures before slot t
         q_trace[b0:b0 + size] = queued - done
@@ -565,7 +556,7 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
                 born = np.repeat(np.arange(b0, b0 + size), arrived[:, n]).tolist()
                 local = [f - bounds[n] for f in seqs[n]]
                 arrival_log[n].extend(zip(local, born))
-            grant_log += grants
+            grant_log.append(grant)
 
     def nest(per_flow: np.ndarray) -> list[list[int]]:
         return [per_flow[bounds[n]:bounds[n + 1]].tolist() for n in qs]
@@ -573,7 +564,85 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
     backlog = sum(_flow_counts(p, n_flows) for p in pending)
     return _metrics(spec, policy.name, warmup, nest(admitted), nest(backlog),
                     nest(admitted_w), nest(backlog_w), q_trace, state_visits,
-                    state_serves, (arrival_log, grant_log) if record else None)
+                    state_serves,
+                    (arrival_log, np.concatenate(grant_log)) if record else None)
+
+
+def _slot_steps(on_rows: np.ndarray, u_sched: np.ndarray, cum: np.ndarray,
+                cum_rows: dict[int, list[float]], seq_q: list[list[int]],
+                queued: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """A block's slots one at a time: reads each queue's HOL channel from
+    the slot's channel bits (flow f's in bit f of `on_rows`), walks the
+    state's cumulative grant row and moves the granted queue's head. Returns
+    each queue's departures, and each slot's state and grant (-1: none)."""
+    qs = range(len(seq_q))
+    avail = queued.T.tolist()
+    on_rows = on_rows.tolist()
+    u_sched = u_sched.tolist()
+    heads = [0] * len(seq_q)
+    states = [0] * len(u_sched)
+    grants = [-1] * len(u_sched)
+    for t in range(len(u_sched)):
+        row = on_rows[t]
+        s = 0
+        for n in qs:
+            h = heads[n]
+            if h < avail[n][t] and row >> seq_q[n][h] & 1:
+                s |= 1 << n
+        if s:
+            states[t] = s
+            c = cum_rows.get(s)
+            if c is None:
+                c = cum_rows[s] = cum[s].tolist()
+            u = u_sched[t]
+            for n in qs:
+                if u < c[n]:
+                    if s >> n & 1:
+                        heads[n] += 1
+                        grants[t] = n
+                    break
+    return heads, np.array(states, dtype=np.int64), np.array(grants, dtype=np.int64)
+
+
+def _packet_steps(on: np.ndarray, go: np.ndarray, live: list[int], seq: list[int],
+                  arrived: np.ndarray,
+                  queued: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """`_slot_steps` for one queue, a packet at a time.
+
+    The HOL packet of flow f departs in the first slot where f is ON and
+    the grant draw is below the state-1 grant (`go`); nxt[f][t] is that
+    first slot at or after t (`size` if none). Packet h of `seq`, ready from
+    slot 0 if it was queued before the block and from the slot after its
+    arrival if not, departs at nxt[f_h][max(t, ready_h)], t the slot after
+    the previous departure. The states and grants follow from the
+    departures.
+    """
+    size = len(go)
+    slots = np.arange(size)
+    ready = itertools.chain(itertools.repeat(0, int(queued[0])),
+                            np.repeat(slots + 1, arrived).tolist())
+    nxt: list = [None] * on.shape[1]
+    for f in live:
+        chance = np.where(on[:, f] & go, slots, size)
+        nxt[f] = memoryview(np.append(np.minimum.accumulate(chance[::-1])[::-1], size))
+    deps = []
+    t = 0
+    for f, r in zip(seq, ready):
+        if t < r:
+            t = r
+        t = nxt[f][t]
+        if t == size:
+            break
+        deps.append(t)
+        t += 1
+    left = np.zeros(size, dtype=np.int64)
+    left[deps] = 1
+    done = np.cumsum(left) - left  # departures before slot t
+    state = np.zeros(size, dtype=np.int64)
+    if seq:
+        head = np.array(seq[:len(deps) + 1])[np.minimum(done, len(seq) - 1)]
+        state[(done < queued) & on[slots, head]] = 1
+    return [len(deps)], state, left - 1
 
 
 def _fluid_counts(rate: float, frac: float, size: int) -> tuple[list[int], float]:
@@ -689,7 +758,7 @@ def run_saturated(
     departure of any other queue, over per-block event tables, one per HOL
     vector the block reaches and at most `_SATURATED_TABLES` of them, and
     takes a block's slots past that cap one by one. The counts are block
-    reductions of the HOL changes it records (see the module docstring).
+    reductions of the tables' channel states (see the module docstring).
     """
     errs = cfg.validate()
     if errs:
@@ -754,7 +823,8 @@ def run_saturated(
     draws = rng_ar.random(n_queues)
     hol = [int(np.searchsorted(cum_mix[n], draws[n], side="right")) for n in qs]
     draws = draws[n_queues:]
-    joint = np.zeros((1 << n_queues, n_queues, k_max), dtype=np.int64)
+    n_states = 1 << n_queues
+    joint = np.zeros((n_states, n_queues, k_max), dtype=np.int64)
 
     for b0 in range(0, horizon, _BLOCK):
         size = min(_BLOCK, horizon - b0)
@@ -769,12 +839,18 @@ def run_saturated(
         on = [[(u_ch[:, n] >= p) << n for p in cfg.p_off_row(n)] for n in qs]
         slots = np.arange(size)
 
+        tab_hols: list[list[int]] = []  # each table's HOL vector and states
+        tab_states: list[np.ndarray] = []
+
         def table(h: list[int]) -> tuple:
             """With the HOL vector held at h, per slot t: the first event slot
             >= t (`size` if none, and at t = size), the grant, and if a queue
             is fixed, the departures up to t (0 at t = -1). Memoryviews, as
-            most entries are never read."""
+            most entries are never read. Last, the table's index; its
+            channel states go to `tab_states`."""
             state = sum(on[n][h[n]] for n in qs)
+            tab_hols.append(h[:])
+            tab_states.append(state)
             if solo:
                 event = state
             else:
@@ -782,30 +858,36 @@ def run_saturated(
                 event = event_at[grant]
             nxt = np.append(np.minimum.accumulate(np.where(event, slots, size)[::-1])[::-1], size)
             return (memoryview(nxt), mover or memoryview(grant),
-                    memoryview(np.append(np.cumsum(grant >= 0), 0)) if fixed else None)
+                    memoryview(np.append(np.cumsum(grant >= 0), 0)) if fixed else None,
+                    len(tab_hols) - 1)
 
         h = hol[:]
-        changes: list[int] = []  # slot, queue and new HOL flow of each change
+        # the slot from which each table's HOL vector holds, and the table
+        marks: list[int] = []
         t = d = 0  # d departures before slot t
         # the two count-free loops are measured specializations of the last
         # one, which is right for every input but ran 1.9x slower on one
         # queue and 1.1-1.3x slower on two multi-flow queues (BENCH_18.json)
         if solo:  # the queue departs whenever ON, to the table of its refill
-            tabs = [table([k])[0] if opens[0][k] else None for k in range(k_max)]
+            tabs = [table([k]) if opens[0][k] else None for k in range(k_max)]
+            nexts = [tab and tab[0] for tab in tabs]
             rf = refill[0]
             deps = []
-            t = tabs[h[0]][0]
+            t = nexts[h[0]][0]
             while t < size:
                 deps.append(t)
-                t = tabs[rf[d]][t + 1]
+                t = nexts[rf[d]][t + 1]
                 d += 1
+            index = np.array([tab[3] if tab else 0 for tab in tabs])
+            marks = np.column_stack((np.array([-1] + deps) + 1,
+                                     index[np.concatenate(([h[0]], refills[0][:d]))]))
             if d:
                 h[0] = rf[d - 1]
-            changes = np.column_stack((deps, np.zeros(d, dtype=np.int64), refills[0][:d]))
         else:
             key = sum(stride[n] * h[n] for n in qs)
-            nxt, grant, count = table(h)
-            tables = {key: (nxt, grant, count)}
+            nxt, grant, count, i = table(h)
+            tables = {key: (nxt, grant, count, i)}
+            marks += 0, i
             if not fixed:  # every departure is an event
                 while True:
                     e = nxt[t]
@@ -817,7 +899,6 @@ def run_saturated(
                     d += 1
                     t = e + 1
                     if k != h[n]:
-                        changes += e, n, k
                         key += stride[n] * (k - h[n])
                         h[n] = k
                         tab = tables.get(key)
@@ -825,7 +906,8 @@ def run_saturated(
                             if len(tables) == _SATURATED_TABLES:
                                 break
                             tab = tables[key] = table(h)
-                        nxt, grant, count = tab
+                        nxt, grant, count, i = tab
+                        marks += t, i
             else:
                 off = 0  # off + count[t - 1] departures before slot t
                 while True:
@@ -837,7 +919,6 @@ def run_saturated(
                     k = refill[n][off + count[e - 1]]
                     t = e + 1
                     if k != h[n]:
-                        changes += e, n, k
                         key += stride[n] * (k - h[n])
                         h[n] = k
                         off += count[e]
@@ -847,9 +928,20 @@ def run_saturated(
                                 d = off
                                 break
                             tab = tables[key] = table(h)
-                        nxt, grant, count = tab
+                        nxt, grant, count, i = tab
                         off -= count[e]
+                        marks += t, i
+        # slots before t: joint counts per (table, state) pair
+        marks = np.reshape(marks, (-1, 2))
+        tab_of = np.repeat(marks[:, 1], np.diff(marks[:, 0], append=t))
+        pairs = tab_of * n_states + np.stack(tab_states)[tab_of, slots[:t]]
+        per_tab = np.bincount(pairs, minlength=len(tab_hols) * n_states).reshape(-1, n_states)
+        for hv, c in zip(tab_hols, per_tab):
+            joint[:, qs, hv] += c[:, None]
         if t < size:  # past the table cap: slot by slot, from the same ON bits
+            t_cap = t
+            hol_cap = h[:]
+            changes: list[int] = []  # slot, queue and new HOL flow of each change
             on_rows = [[row.tolist() for row in on_n] for on_n in on]
             rows = [on_rows[n][h[n]] for n in qs]
             sel, n_on_s, u_pick = select.tolist(), n_on.tolist(), u_sc.tolist()
@@ -866,19 +958,18 @@ def run_saturated(
                             h[n] = k
                             rows[n] = on_rows[n][k]
                     d += 1
+            # per-slot HOL flows: a queue's HOL changes the slot after it departs
+            hols = np.empty((size - t_cap, n_queues), dtype=np.int64)
+            ch = np.array(changes, dtype=np.int64).reshape(-1, 3)
+            for n in qs:
+                mine = ch[ch[:, 1] == n]
+                ks = np.concatenate(([hol_cap[n]], mine[:, 2]))
+                hols[:, n] = np.repeat(ks, np.diff(np.concatenate(([t_cap], mine[:, 0] + 1, [size]))))
+            state = (u_ch[t_cap:] >= p_off[qs, hols]) @ (1 << np.arange(n_queues))
+            flat = (state[:, None] * n_queues + np.arange(n_queues)) * k_max + hols
+            joint += np.bincount(flat.ravel(), minlength=joint.size).reshape(joint.shape)
         draws = draws[d:]
-
-        # per-slot HOL flows: a queue's HOL changes the slot after it departs
-        hols = np.empty((size, n_queues), dtype=np.int64)
-        ch = np.array(changes, dtype=np.int64).reshape(-1, 3)
-        for n in qs:
-            mine = ch[ch[:, 1] == n]
-            ks = np.concatenate(([hol[n]], mine[:, 2]))
-            hols[:, n] = np.repeat(ks, np.diff(np.concatenate(([0], mine[:, 0] + 1, [size]))))
         hol = h
-        state = (u_ch >= p_off[qs, hols]) @ (1 << np.arange(n_queues))
-        flat = (state[:, None] * n_queues + np.arange(n_queues)) * k_max + hols
-        joint += np.bincount(flat.ravel(), minlength=joint.size).reshape(joint.shape)
 
     # every count is a marginal of the joint state-and-HOL counts
     hol_count = joint.sum(axis=0)

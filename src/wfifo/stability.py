@@ -127,25 +127,31 @@ def check_service_region(
     if policy.n_queues != cfg.n_queues:
         raise ValueError("policy is sized for a different number of queues")
     rows = [(lambdas[m], cfg.p_off_row(m)) for m in range(cfg.n_queues)]
-    return _service_margin(rows, _served_products(_factors(rows), np.ones(len(rows))), policy)
+    weights = _served_products(_factors(rows), np.ones(len(rows)))
+    return _service_margin(rows, _queue_work(rows), weights, policy)
 
 
-def _service_margin(rows: list[tuple[list[float], list[float]]], weights: np.ndarray,
-                    policy: SchedulingPolicy) -> Margin:
-    """`check_service_region`'s margin, given the queues' (rates, p_off) rows
-    and their `_served_products` from 1."""
-    grant = (weights * policy.tau.T).sum(axis=1)
-    slacks: dict[str, float] = {}
-    for n, (lams, p_off) in enumerate(rows):
-        absorbing = _absorbing(lams, p_off)
-        hol_work = math.fsum(l / (1.0 - p) for l, p in zip(lams, p_off) if l > 0 and p < 1.0)
-        for k, lam in enumerate(lams):
-            if lam <= 0.0:
-                slacks[f"rate[{n}][{k}]"] = 0.0
-            elif absorbing:
-                slacks[f"rate[{n}][{k}]"] = -math.inf
-            else:
-                slacks[f"rate[{n}][{k}]"] = lam * float(grant[n]) / hol_work - lam
+def _queue_work(rows: list[tuple[list[float], list[float]]]) -> list[tuple[float, bool]]:
+    """Each queue's head-of-line work D_n and whether it is absorbing, from
+    its (rates, p_off) row."""
+    return [(math.fsum(l / (1.0 - p) for l, p in zip(lams, p_off) if l > 0 and p < 1.0),
+             _absorbing(lams, p_off)) for lams, p_off in rows]
+
+
+def _rate_slacks(rows: list[tuple[list[float], list[float]]], work: list[tuple[float, bool]],
+                 weights: np.ndarray, tau: np.ndarray) -> list[float]:
+    """Every flow's rate slack under the grant table tau, queue by queue,
+    given the queues' rows, their `_queue_work` and `_served_products` from 1."""
+    grant = (weights * tau.T).sum(axis=1).tolist()
+    return [0.0 if lam <= 0.0 else -math.inf if absorbing else lam * g / hol_work - lam
+            for (lams, _), (hol_work, absorbing), g in zip(rows, work, grant) for lam in lams]
+
+
+def _service_margin(rows: list[tuple[list[float], list[float]]], work: list[tuple[float, bool]],
+                    weights: np.ndarray, policy: SchedulingPolicy) -> Margin:
+    """`check_service_region`'s margin from the arguments of `_rate_slacks`."""
+    keys = [f"rate[{n}][{k}]" for n, (lams, _) in enumerate(rows) for k in range(len(lams))]
+    slacks = dict(zip(keys, _rate_slacks(rows, work, weights, policy.tau)))
     slacks.update(_grant_sum_slacks(policy))
     return Margin(slacks)
 
@@ -312,22 +318,20 @@ def best_policy_search(
         best = SchedulingPolicy(tau)
         return best, check_service_region(cfg, lambdas, best)
 
-    def split(x: float) -> SchedulingPolicy:
+    def split(x: float) -> np.ndarray:
         tau = np.zeros((4, 2))
         tau[0b01, 0] = 1.0  # only queue 0 serviceable
         tau[0b10, 1] = 1.0  # only queue 1 serviceable
         tau[0b11] = [x, 1.0 - x]
-        return SchedulingPolicy(tau)
+        return tau
 
-    # the rates are fixed, so one grant-weight table serves every split
+    # the rates are fixed, so one grant-weight table and one set of queue
+    # loads serve every split
     rows = [(lambdas[m], cfg.p_off_row(m)) for m in range(n_queues)]
+    work = _queue_work(rows)
     weights = _served_products(_factors(rows), np.ones(n_queues))
-
-    def rate_slacks(x: float) -> np.ndarray:
-        margin = _service_margin(rows, weights, split(x))
-        return np.array([v for key, v in margin.slacks.items() if key.startswith("rate")])
-
-    at0, at1 = rate_slacks(0.0), rate_slacks(1.0)
+    at0 = np.array(_rate_slacks(rows, work, weights, split(0.0)))
+    at1 = np.array(_rate_slacks(rows, work, weights, split(1.0)))
     finite = np.isfinite(at0)
     slope = np.zeros_like(at0)
     slope[finite] = at1[finite] - at0[finite]
@@ -343,5 +347,5 @@ def best_policy_search(
 
     # max keeps the first of equal values, so ties go to the smallest x
     best_x = max(sorted(candidates), key=worst)
-    policy = split(best_x)
-    return policy, _service_margin(rows, weights, policy)
+    policy = SchedulingPolicy(split(best_x))
+    return policy, _service_margin(rows, work, weights, policy)

@@ -420,6 +420,49 @@ def test_named_open_loop_policies_take_the_block_path(name, monkeypatch):
     _assert_same_metrics(m, run(spec))
 
 
+# one queue: a p_off = 1 flow at a positive rate, whose HOL packet is never
+# served once it reaches the head; a zero-rate flow; a state-1 grant
+# summing below 1 (the slot can idle) and a grant in the all-OFF state,
+# which never serves; and an overloaded queue whose backlog grows across
+# blocks
+_ONE_QUEUE_CASES = [
+    ([0.3, 1.0, 0.5], [0.2, 0.004, 0.0], [[0.6], [0.8]]),
+    ([0.1, 0.4], [0.6, 0.5], [[0.0], [1.0]]),
+    ([0.0, 0.7, 0.2, 0.5], [0.1, 0.0, 0.3, 0.15], [[0.0], [0.9]]),
+]
+
+
+@pytest.mark.parametrize("mode", ["fluid", "stochastic"])
+@pytest.mark.parametrize("horizon", [10, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_one_queue_packet_path_equals_per_slot_loop(mode, horizon, monkeypatch):
+    steps = []
+    packet_steps = sim._packet_steps
+    monkeypatch.setattr(sim, "_packet_steps",
+                        lambda *args: steps.append(args) or packet_steps(*args))
+    for i, (p_off, rates, tau) in enumerate(_ONE_QUEUE_CASES):
+        cfg = make_cfg([p_off])
+        pol = StaticPolicy(cfg, [rates], np.array(tau))
+        for warmup in (0, horizon // 3 + 1, 4096):
+            if warmup >= horizon:
+                continue
+            spec = RunSpec(cfg=cfg, policy=pol, horizon=horizon, seed=70 + i,
+                           warmup=warmup, arrival_mode=mode, record_trace=True)
+            fast = run(spec)
+            _assert_same_metrics(fast, run(dataclasses.replace(spec, policy=_Delegate(pol))))
+            assert all(a == 0 for a, r in zip(fast.admitted_packets[0], rates) if r == 0.0)
+            if horizon > 4096 and i == 0:
+                # the never-ON flow's packet reached the head and pins it
+                assert fast.served_packets[0][1] == 0 < fast.admitted_packets[0][1]
+                assert fast.q_trace[-1, 0] > fast.q_trace[horizon // 2, 0] > 0
+            if horizon > 4096 and i == 1:  # overloaded: carried across blocks
+                assert fast.q_trace[4096, 0] > 100
+            if horizon > 10 and i == 2 and warmup == 0:  # the slot idles in state 1
+                assert fast.state_visits[1] > fast.state_serves[1, 0] > 0
+    # one packet-path call per block of each run
+    runs = sum(w < horizon for w in (0, horizon // 3 + 1, 4096)) * len(_ONE_QUEUE_CASES)
+    assert len(steps) == runs * -(-horizon // 4096)
+
+
 # ----- lockstep closed-loop engine against run() -----
 
 
@@ -583,6 +626,31 @@ def test_run_batch_routes_each_spec_and_yields_in_spec_order(monkeypatch):
             list(run_batch([bad]))
         with pytest.raises(ValueError, match="warmup"):
             list(run_batch(specs[:1] + [bad] + specs[10:]))
+
+
+def test_run_batch_reorders_a_lockstep_group_invisibly(monkeypatch):
+    # maxweight and qfc specs alternate, with a built policy object and a
+    # stochastic spec among them; lockstep takes the named fluid ones, qfc
+    # runs first, and run_batch still yields run(spec) in spec order
+    specs = []
+    for i, (rows, _, M, r_max, beta) in enumerate(_LOCKSTEP_CASES[:8]):
+        cfg = make_cfg(rows, M=M, r_max=r_max, beta=beta)
+        specs.append(RunSpec(cfg=cfg, policy=("maxweight", "qfc")[i % 2], horizon=3000,
+                             warmup=700, seed=120 + i))
+    specs.insert(3, dataclasses.replace(specs[2], policy=QfcPolicy(specs[2].cfg)))
+    specs.insert(6, dataclasses.replace(specs[5], arrival_mode="stochastic"))
+    groups = []
+    lockstep_runs = lockstep._lockstep
+    monkeypatch.setattr(lockstep, "_lockstep",
+                        lambda sp, pols, *a: groups.append(pols) or lockstep_runs(sp, pols, *a))
+    batch = list(run_batch(specs))
+    [pols] = groups
+    assert [p.name for p in pols] == ["qfc"] * 4 + ["maxweight"] * 4
+    for i, (spec, got) in enumerate(zip(specs, batch)):
+        ref = run(spec)
+        assert got.policy_name == ref.policy_name
+        assert (got.q_trace is None) == (i not in (3, 6)), i
+        _assert_same_metrics(dataclasses.replace(got, q_trace=ref.q_trace), ref)
 
 
 @pytest.mark.parametrize("policy, field", [("static", "lambda"), ("qfc", "r_max"),
