@@ -49,27 +49,28 @@ each batch with `_ordered`, the same keys in Python ints.
 `run_saturated` reads "channels" as one (4096, N) uniform block, one column
 per queue (queue n is ON in slot t when U[t, n] >= the p_off of its HOL
 flow), and "scheduling" as above (the slot goes to the int(u * n_on)-th ON
-queue in queue order). "arrivals" gives the HOL draws: one uniform per queue
-at the start, then one per departure in slot order, each mapped through that
-queue's cumulative mix. A queue whose cumulative mix opens one interval is
-fixed: its departures take their draws, but its HOL never changes. The HOL
-vector of the other queues, the movers, changes only when a mover departs,
-so the engine steps from event to event, an event being a mover's
-departure. For each HOL vector a block reaches, one vectorized pass over the
-block gives every slot's channel state, its grant (read from a (2**N, N)
-table of the j-th ON queue of each state), the next event slot, and, when a
-queue is fixed, the departures so far, which index the draws. The loop runs
-once per event and switches tables only when the refill changes the mover's
-HOL; a lone queue departs whenever it is ON and switches at each departure.
-A block builds at most `_SATURATED_TABLES` tables and takes the slots past
-that cap one at a time, from the same per-(queue, flow) ON bits and select
-table. Each table keeps its per-slot channel states, and the loop records
-the slot from which each table holds, so one bincount over (table, state)
-pairs counts the table slots; only the slots past the cap have their HOL
-vectors rebuilt from the recorded HOL changes. The engine takes the arrival
-uniforms a block ahead as vectors, which are the values one draw per departure returns, in
-the same order; nothing reads the stream after the horizon, so uniforms
-drawn past the last departure change nothing.
+queue in queue order). "arrivals" gives the HOL draws, also in (4096, N)
+blocks: queue n reads column n, its first uniform for its initial HOL and
+one per departure after, each mapped through its cumulative mix, so a
+queue's refills do not depend on the other queues' departures. A queue
+whose cumulative mix opens one interval is fixed: its HOL never changes, so
+its departures are not events and read nothing. The HOL vector changes only
+when a moving queue departs, so the engine steps from event to event. For
+each HOL vector a block reaches, one vectorized pass over the block gives
+every slot's channel state, its grant (read from a (2**N, N) table of the
+j-th ON queue of each state) and the next event slot. The loop runs once per
+event, takes the departing queue's next refill from its column, and switches
+tables only when the refill changes the queue's HOL; a lone queue departs
+whenever it is ON and switches at each departure. A block builds at most
+`_SATURATED_TABLES` tables and takes the slots past that cap one at a time,
+from the same per-(queue, flow) ON bits and select table. Each table keeps
+its per-slot channel states, and the loop records the slot from which each
+table holds, so one bincount over (table, state) pairs counts the table
+slots; only the slots past the cap have their HOL vectors rebuilt from the
+recorded HOL changes. The engine takes each column's uniforms a block ahead
+as vectors, the values one draw per departure returns, in the same order;
+nothing reads them after the horizon, so uniforms drawn past the last
+departure change nothing.
 
 A `StaticPolicy` (static, dfc-static, serve-if-on) admits independently of
 the state, so `run` gives it a block path: a block's arrival counts and
@@ -100,6 +101,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import sys
 from array import array
 from bisect import bisect_right
@@ -330,11 +332,15 @@ def run(spec: RunSpec) -> TraceMetrics:
     for seed.
     """
     policy, warmup = _prepare(spec)
+    # both loops keep a (horizon, N) int32 backlog trace; refuse one that
+    # numpy cannot make before any slot runs
+    n_queues = spec.cfg.n_queues
+    if spec.horizon * n_queues * 4 > np.iinfo(np.intp).max:
+        raise MemoryError(f"a backlog trace of {spec.horizon} slots x {n_queues} queues")
     if type(policy) is StaticPolicy:
         return _run_open_loop(spec, policy, warmup)
 
     cfg = spec.cfg
-    n_queues = cfg.n_queues
     flow_counts = [cfg.n_flows(n) for n in range(n_queues)]
     p_off_flat = np.array(
         [f.p_off for q in cfg.queues for f in q.flows], dtype=float
@@ -462,8 +468,11 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
     before its slots run, from the same streams in the same order as the
     per-slot loop. The only sequential state is one head pointer per queue,
     which `_slot_steps` moves a slot and `_packet_steps` (one queue) a packet
-    at a time. Every metric is a per-block reduction, and served packets are
-    trimmed from the sequences after each block.
+    at a time. Every metric is a per-block reduction. Each queue keeps one
+    list of flow ids and the index of its head; a block's steps see only the
+    first 4,096 queued ids, as at most one departs per slot, and the served
+    ids are dropped once they are most of the list, so a block costs the same
+    whatever the backlog.
     """
     cfg = spec.cfg
     horizon = spec.horizon
@@ -496,7 +505,8 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
     state_serves = np.zeros((1 << n_queues, n_queues), dtype=np.int64)
     admitted = np.zeros(n_flows, dtype=np.int64)
     admitted_w = backlog_w = admitted  # snapshot at the start of slot `warmup`
-    pending: list[list[int]] = [[] for _ in qs]  # queued flow ids, FIFO
+    fifo: list[list[int]] = [[] for _ in qs]  # flow ids in service order
+    head = [0] * n_queues  # fifo[n][head[n]:] are queued
 
     record = spec.record_trace
     arrival_log: list[list[tuple[int, int]]] = [[] for _ in qs]
@@ -523,8 +533,13 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
         _order_batches(seq, arrived.ravel(), b0, words, queues)
         seqs = [seq[queue_of[seq] == n].tolist() for n in qs]
 
-        queued = firsts + np.array([len(p) for p in pending])  # start of slot t
-        seq_q = [pending[n] + seqs[n] for n in qs]
+        queued = firsts + np.array([len(f) - h for f, h in zip(fifo, head)])  # start of slot t
+        for n in qs:
+            if 2 * head[n] > len(fifo[n]):
+                del fifo[n][:head[n]]
+                head[n] = 0
+            fifo[n] += seqs[n]
+        seq_q = [f[h:h + size] for f, h in zip(fifo, head)]
         if n_queues == 1:
             # a step per packet, not per slot: the 20 runs of criterion 02's
             # pool (200,000 slots each) took 1.47 s against 2.19 s for the
@@ -546,11 +561,10 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
                                         minlength=state_serves.size).reshape(state_serves.shape)
         if b0 <= warmup < b0 + size:  # counts at the start of slot `warmup`
             admitted_w = admitted + counts[:w].sum(axis=0)
-            backlog_w = sum(_flow_counts(seq_q[n][done[w, n]:queued[w, n]], n_flows)
-                            for n in qs)
+            backlog_w = sum(_flow_counts(fifo[n][head[n] + done[w, n]:head[n] + queued[w, n]],
+                                         n_flows) for n in qs)
         admitted = admitted + counts.sum(axis=0)
-        for n in qs:
-            pending[n] = seq_q[n][heads[n]:]
+        head = [h + k for h, k in zip(head, heads)]
         if record:
             for n in qs:
                 born = np.repeat(np.arange(b0, b0 + size), arrived[:, n]).tolist()
@@ -561,7 +575,7 @@ def _run_open_loop(spec: RunSpec, policy: StaticPolicy, warmup: int) -> TraceMet
     def nest(per_flow: np.ndarray) -> list[list[int]]:
         return [per_flow[bounds[n]:bounds[n + 1]].tolist() for n in qs]
 
-    backlog = sum(_flow_counts(p, n_flows) for p in pending)
+    backlog = sum(_flow_counts(f[h:], n_flows) for f, h in zip(fifo, head))
     return _metrics(spec, policy.name, warmup, nest(admitted), nest(backlog),
                     nest(admitted_w), nest(backlog_w), q_trace, state_visits,
                     state_serves,
@@ -623,8 +637,7 @@ def _packet_steps(on: np.ndarray, go: np.ndarray, live: list[int], seq: list[int
                             np.repeat(slots + 1, arrived).tolist())
     nxt: list = [None] * on.shape[1]
     for f in live:
-        chance = np.where(on[:, f] & go, slots, size)
-        nxt[f] = memoryview(np.append(np.minimum.accumulate(chance[::-1])[::-1], size))
+        nxt[f] = _next_slots(on[:, f] & go)
     deps = []
     t = 0
     for f, r in zip(seq, ready):
@@ -643,6 +656,15 @@ def _packet_steps(on: np.ndarray, go: np.ndarray, live: list[int], seq: list[int
         head = np.array(seq[:len(deps) + 1])[np.minimum(done, len(seq) - 1)]
         state[(done < queued) & on[slots, head]] = 1
     return [len(deps)], state, left - 1
+
+
+def _next_slots(mask: np.ndarray) -> memoryview:
+    """nxt[t]: the first slot at or after t where `mask` is set, and
+    len(mask) if none, for t up to len(mask) inclusive. A memoryview, as a
+    stepping loop reads few of its entries."""
+    size = len(mask)
+    first = np.where(mask, np.arange(size), size)
+    return memoryview(np.append(np.minimum.accumulate(first[::-1])[::-1], size))
 
 
 def _fluid_counts(rate: float, frac: float, size: int) -> tuple[list[int], float]:
@@ -750,15 +772,19 @@ def run_saturated(
     """Simulate the head-of-line process alone, queues always backlogged.
 
     Each queue's HOL is refilled on departure by sampling a flow from
-    `hol_mix` (the queue's arrival shares). The slot goes to a uniformly
-    random serviceable queue, a channel-state-only rule under which the
-    stationary HOL statistics factor per queue.
+    `hol_mix` (the queue's arrival shares), with the next uniform of the
+    queue's own column of the "arrivals" stream. The slot goes to a
+    uniformly random serviceable queue, a channel-state-only rule under
+    which the stationary HOL statistics factor per queue.
 
-    A queue with one flow that can be drawn is fixed; the loop runs once per
-    departure of any other queue, over per-block event tables, one per HOL
-    vector the block reaches and at most `_SATURATED_TABLES` of them, and
-    takes a block's slots past that cap one by one. The counts are block
-    reductions of the tables' channel states (see the module docstring).
+    A queue with one flow that can be drawn is fixed, and its departures
+    are not events; the loop runs once per departure of any other queue,
+    over per-block event tables, one per HOL vector the block reaches and at
+    most `_SATURATED_TABLES` of them, and takes a block's slots past that
+    cap one by one. The counts are block reductions of the tables' channel
+    states (see the module docstring). In one process: 0.18 µs per slot on
+    one queue x 4 flows, 0.24 µs on 2 queues x 2+1 flows and 1.2 µs on 3-8
+    queues of 2-3 flows (BENCH_20.json).
     """
     errs = cfg.validate()
     if errs:
@@ -804,25 +830,22 @@ def run_saturated(
     # changes. The other queues move, and their departures are the events
     opens = [(np.diff(c, prepend=0.0) > 0).tolist() for c in cum_mix]
     moves = [sum(o) > 1 for o in opens]
-    movers = [n for n in qs if moves[n]]
-    fixed = len(movers) < n_queues
-    solo = not fixed and n_queues == 1
+    solo = moves == [True]
     event_at = np.array(moves + [False])  # by grant, -1 (no grant) last
-    mover = [movers[0]] * _BLOCK if len(movers) == 1 else None  # each event's grant
-    stride = [0] * n_queues  # a table's key: sum of stride[n] * hol[n]
-    n_keys = 1
-    for n in movers:
-        stride[n] = n_keys
-        n_keys *= cfg.n_flows(n)
+    # a table's key: sum of stride[n] * h[n] over the HOL vector h
+    stride = list(itertools.accumulate([cfg.n_flows(n) for n in qs][:-1], operator.mul,
+                                       initial=1))
     rng_ch = _stream(seed, "channels")
     rng_ar = _stream(seed, "arrivals")
     rng_sc = _stream(seed, "scheduling")
 
-    # HOL draws in departure order: the flow is the count of cumulative
-    # shares at or below the uniform, so the first share above it
-    draws = rng_ar.random(n_queues)
-    hol = [int(np.searchsorted(cum_mix[n], draws[n], side="right")) for n in qs]
-    draws = draws[n_queues:]
+    # queue n's HOL draws: column n of (4096, N) blocks, the first for its
+    # initial HOL, then one per departure of the queue if it moves. The flow
+    # is the count of cumulative shares at or below the uniform, so the
+    # first share above it
+    draws = list(rng_ar.random((_BLOCK, n_queues)).T)
+    h = [int(np.searchsorted(cum_mix[n], draws[n][0], side="right")) for n in qs]
+    draws = [x[1:] for x in draws]
     n_states = 1 << n_queues
     joint = np.zeros((n_states, n_queues, k_max), dtype=np.int64)
 
@@ -830,10 +853,15 @@ def run_saturated(
         size = min(_BLOCK, horizon - b0)
         u_ch = rng_ch.random((_BLOCK, n_queues))[:size]
         u_sc = rng_sc.random(_BLOCK)[:size]
-        if draws.size < size:  # at most one departure per slot
-            draws = np.concatenate([draws, rng_ar.random(_BLOCK)])
-        refills = [np.searchsorted(c, draws[:size], side="right") for c in cum_mix]
-        refill = [r.tolist() for r in refills]
+        if min(map(len, draws)) < size:  # at most one departure per slot
+            more = rng_ar.random((_BLOCK, n_queues))
+            draws = [np.concatenate((x, more[:, n])) for n, x in enumerate(draws)]
+        # each mover's refills for the block, and the same last first, so that
+        # a departure takes the next by a pop
+        refills = [np.searchsorted(c, x[:size], side="right") if m else None
+                   for c, x, m in zip(cum_mix, draws, moves)]
+        left = [r[::-1].tolist() if m else [] for r, m in zip(refills, moves)]
+        take = [rest.pop for rest in left]
         # on[n][k]: queue n's bit of the channel state in each slot, flow k
         # at its head
         on = [[(u_ch[:, n] >= p) << n for p in cfg.p_off_row(n)] for n in qs]
@@ -844,93 +872,59 @@ def run_saturated(
 
         def table(h: list[int]) -> tuple:
             """With the HOL vector held at h, per slot t: the first event slot
-            >= t (`size` if none, and at t = size), the grant, and if a queue
-            is fixed, the departures up to t (0 at t = -1). Memoryviews, as
-            most entries are never read. Last, the table's index; its
-            channel states go to `tab_states`."""
+            >= t (`_next_slots`), and the grant (a memoryview, as most
+            entries are never read). Last, the table's index; its channel
+            states go to `tab_states`."""
             state = sum(on[n][h[n]] for n in qs)
             tab_hols.append(h[:])
             tab_states.append(state)
             if solo:
-                event = state
-            else:
-                grant = select[state, (u_sc * n_on[state]).astype(np.int64)]
-                event = event_at[grant]
-            nxt = np.append(np.minimum.accumulate(np.where(event, slots, size)[::-1])[::-1], size)
-            return (memoryview(nxt), mover or memoryview(grant),
-                    memoryview(np.append(np.cumsum(grant >= 0), 0)) if fixed else None,
-                    len(tab_hols) - 1)
+                return _next_slots(state), None, len(tab_hols) - 1
+            grant = select[state, (u_sc * n_on[state]).astype(np.int64)]
+            return _next_slots(event_at[grant]), memoryview(grant), len(tab_hols) - 1
 
-        h = hol[:]
         # the slot from which each table's HOL vector holds, and the table
         marks: list[int] = []
-        t = d = 0  # d departures before slot t
-        # the two count-free loops are measured specializations of the last
-        # one, which is right for every input but ran 1.9x slower on one
-        # queue and 1.1-1.3x slower on two multi-flow queues (BENCH_18.json)
-        if solo:  # the queue departs whenever ON, to the table of its refill
+        t = 0
+        # a lone queue that moves departs whenever ON, to the table of its
+        # refill. The event loop below is right for it too, but took 1.56x as
+        # long on criterion 01's pool, slower in 10 of 10 pairs (BENCH_20.json)
+        if solo:
             tabs = [table([k]) if opens[0][k] else None for k in range(k_max)]
             nexts = [tab and tab[0] for tab in tabs]
-            rf = refill[0]
+            pop = take[0]
             deps = []
             t = nexts[h[0]][0]
             while t < size:
                 deps.append(t)
-                t = nexts[rf[d]][t + 1]
-                d += 1
-            index = np.array([tab[3] if tab else 0 for tab in tabs])
-            marks = np.column_stack((np.array([-1] + deps) + 1,
-                                     index[np.concatenate(([h[0]], refills[0][:d]))]))
-            if d:
-                h[0] = rf[d - 1]
-        else:
-            key = sum(stride[n] * h[n] for n in qs)
-            nxt, grant, count, i = table(h)
-            tables = {key: (nxt, grant, count, i)}
+                t = nexts[pop()][t + 1]
+            index = np.array([tab[2] if tab else 0 for tab in tabs])
+            held = np.concatenate(([h[0]], refills[0][:len(deps)]))  # HOL from each mark
+            marks = np.column_stack((np.array([-1] + deps) + 1, index[held]))
+            h[0] = int(held[-1])
+        else:  # a mover's departure is an event; the rest need no step
+            key = sum(map(operator.mul, stride, h))
+            nxt, grant, i = table(h)
+            tables = {key: (nxt, grant, i)}
             marks += 0, i
-            if not fixed:  # every departure is an event
-                while True:
-                    e = nxt[t]
-                    if e == size:
-                        t = size
-                        break
-                    n = grant[e]
-                    k = refill[n][d]
-                    d += 1
-                    t = e + 1
-                    if k != h[n]:
-                        key += stride[n] * (k - h[n])
-                        h[n] = k
-                        tab = tables.get(key)
-                        if tab is None:
-                            if len(tables) == _SATURATED_TABLES:
-                                break
-                            tab = tables[key] = table(h)
-                        nxt, grant, count, i = tab
-                        marks += t, i
-            else:
-                off = 0  # off + count[t - 1] departures before slot t
-                while True:
-                    e = nxt[t]
-                    if e == size:
-                        t, d = size, off + count[size - 1]
-                        break
-                    n = grant[e]
-                    k = refill[n][off + count[e - 1]]
-                    t = e + 1
-                    if k != h[n]:
-                        key += stride[n] * (k - h[n])
-                        h[n] = k
-                        off += count[e]
-                        tab = tables.get(key)
-                        if tab is None:
-                            if len(tables) == _SATURATED_TABLES:
-                                d = off
-                                break
-                            tab = tables[key] = table(h)
-                        nxt, grant, count, i = tab
-                        off -= count[e]
-                        marks += t, i
+            while True:
+                e = nxt[t]
+                if e == size:
+                    t = size
+                    break
+                n = grant[e]
+                k = take[n]()
+                t = e + 1
+                if k != h[n]:
+                    key += stride[n] * (k - h[n])
+                    h[n] = k
+                    tab = tables.get(key)
+                    if tab is None:
+                        if len(tables) == _SATURATED_TABLES:
+                            break
+                        tab = tables[key] = table(h)
+                    nxt, grant, i = tab
+                    marks += t, i
         # slots before t: joint counts per (table, state) pair
         marks = np.reshape(marks, (-1, 2))
         tab_of = np.repeat(marks[:, 1], np.diff(marks[:, 0], append=t))
@@ -952,12 +946,11 @@ def run_saturated(
                 if s:
                     n = sel[s][int(u_pick[t] * n_on_s[s])]
                     if moves[n]:
-                        k = refill[n][d]
+                        k = take[n]()
                         if k != h[n]:
                             changes += t, n, k
                             h[n] = k
                             rows[n] = on_rows[n][k]
-                    d += 1
             # per-slot HOL flows: a queue's HOL changes the slot after it departs
             hols = np.empty((size - t_cap, n_queues), dtype=np.int64)
             ch = np.array(changes, dtype=np.int64).reshape(-1, 3)
@@ -968,8 +961,7 @@ def run_saturated(
             state = (u_ch[t_cap:] >= p_off[qs, hols]) @ (1 << np.arange(n_queues))
             flat = (state[:, None] * n_queues + np.arange(n_queues)) * k_max + hols
             joint += np.bincount(flat.ravel(), minlength=joint.size).reshape(joint.shape)
-        draws = draws[d:]
-        hol = h
+        draws = [x[size - len(rest):] if m else x for x, rest, m in zip(draws, left, moves)]
 
     # every count is a marginal of the joint state-and-HOL counts
     hol_count = joint.sum(axis=0)

@@ -1,6 +1,7 @@
 """Shared builders and test-only reference oracles for the test suite."""
 
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -206,8 +207,10 @@ def run_saturated_reference(cfg: NetworkConfig, hol_mix: list[list[float]],
 
     Every slot reads its channel row and grant draw from the block, counts
     each queue's HOL and ON/OFF state, and on a grant to the pick-th ON queue
-    (in queue order) refills that queue's HOL with one `random()` from the
-    arrivals stream, mapped through the queue's cumulative mix.
+    (in queue order) refills that queue's HOL with the next uniform of its
+    own column of the arrivals stream, read as (4096, N) blocks, mapped
+    through the queue's cumulative mix. Each queue's first uniform gives its
+    initial HOL.
     """
     n_queues = cfg.n_queues
     cum_mix: list[list[float]] = []
@@ -225,8 +228,13 @@ def run_saturated_reference(cfg: NetworkConfig, hol_mix: list[list[float]],
     rng_ar = _stream(seed, "arrivals")
     rng_sc = _stream(seed, "scheduling")
 
+    columns = [deque() for _ in range(n_queues)]  # each queue's unread draws
+
     def draw_hol(n: int) -> int:
-        u = rng_ar.random()
+        if not columns[n]:
+            for col, block in zip(columns, rng_ar.random((_BLOCK, n_queues)).T.tolist()):
+                col.extend(block)
+        u = columns[n].popleft()
         cum = cum_mix[n]
         for k, c in enumerate(cum):
             if u < c:

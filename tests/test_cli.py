@@ -861,6 +861,32 @@ def test_too_many_replicates_is_a_one_line_error(tmp_path, capsys, command, seed
     assert not out.exists()  # no empty CSV that looks like a result
 
 
+@pytest.mark.parametrize("command, horizon, expect", [
+    ("simulate", 2 ** 62, "too large for this machine"),
+    ("simulate", 10 ** 20, "too large for this machine"),
+    ("sweep", 2 ** 62, "too large for this machine"),
+    ("sweep", 10 ** 20, "plan: horizon: must be at most"),  # past int64: rejected as input
+])
+def test_oversized_horizon_is_a_one_line_error(tmp_path, capsys, command, horizon, expect):
+    # the block path's (horizon, N) backlog trace is refused before it is
+    # allocated: numpy could not make it (2**62 slots x 4 bytes passes its
+    # size limit, 10**20 its dimension limit)
+    cfg = make_cfg([[0.1, 0.5]], lambdas=[[0.2, 0.1]])
+    out = tmp_path / "out"
+    if command == "sweep":
+        plan = write_plan(tmp_path, "p.json", config=cfg.to_dict(), parameter="beta",
+                          values=[1.0], seeds=1, policies=["static"], horizon=horizon)
+        argv = ["sweep", "--plan", plan, "--out", str(out)]
+    else:
+        path = write_cfg(tmp_path, "c.json", [[0.1, 0.5]], lambdas=[[0.2, 0.1]])
+        argv = ["simulate", "--config", path, "--policy", "static",
+                "--horizon", str(horizon), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + expect) and err.count("\n") == 1
+    assert not out.exists()
+
+
 # sha256 prefixes of the CSVs at --seeds 2 --horizon 2000 --seed 0, re-pinned
 # when same-slot arrivals became ordered by counter-based interleave keys;
 # fig8a's one planner cell is the correctly rounded optimum of the closed
