@@ -49,12 +49,13 @@ each batch with `_ordered`, the same keys in Python ints.
 `run_saturated` reads "channels" as one (4096, N) uniform block, one column
 per queue (queue n is ON in slot t when U[t, n] >= the p_off of its HOL
 flow), and "scheduling" as above (the slot goes to the int(u * n_on)-th ON
-queue in queue order). "arrivals" gives the HOL draws, also in (4096, N)
-blocks: queue n reads column n, its first uniform for its initial HOL and
-one per departure after, each mapped through its cumulative mix, so a
-queue's refills do not depend on the other queues' departures. A queue
-whose cumulative mix opens one interval is fixed: its HOL never changes, so
-its departures are not events and read nothing. The HOL vector changes only
+queue in queue order). Each queue draws its HOL from a stream of its own,
+"arrivals" for queue 0 and "arrivals.n" for queue n, in 4,096-uniform
+blocks: its first uniform gives its initial HOL and each departure after
+takes the next, mapped through the queue's cumulative mix, so a queue's
+refills do not depend on the other queues' departures. A queue whose
+cumulative mix opens one interval is fixed: its HOL never changes, so its
+departures are not events and draw nothing. The HOL vector changes only
 when a moving queue departs, so the engine steps from event to event. For
 each HOL vector a block reaches, one vectorized pass over the block gives
 every slot's channel state, its grant (read from a (2**N, N) table of the
@@ -67,8 +68,9 @@ from the same per-(queue, flow) ON bits and select table. Each table keeps
 its per-slot channel states, and the loop records the slot from which each
 table holds, so one bincount over (table, state) pairs counts the table
 slots; only the slots past the cap have their HOL vectors rebuilt from the
-recorded HOL changes. The engine takes each column's uniforms a block ahead
-as vectors, the values one draw per departure returns, in the same order;
+recorded HOL changes. The engine draws a queue's next block once fewer
+unread uniforms are left than the block has slots, and takes them as
+vectors, the values one draw per departure returns, in the same order;
 nothing reads them after the horizon, so uniforms drawn past the last
 departure change nothing.
 
@@ -773,18 +775,19 @@ def run_saturated(
 
     Each queue's HOL is refilled on departure by sampling a flow from
     `hol_mix` (the queue's arrival shares), with the next uniform of the
-    queue's own column of the "arrivals" stream. The slot goes to a
-    uniformly random serviceable queue, a channel-state-only rule under
-    which the stationary HOL statistics factor per queue.
+    queue's own stream ("arrivals", then "arrivals.n" for queue n > 0).
+    The slot goes to a uniformly random serviceable queue, a
+    channel-state-only rule under which the stationary HOL statistics
+    factor per queue.
 
     A queue with one flow that can be drawn is fixed, and its departures
     are not events; the loop runs once per departure of any other queue,
     over per-block event tables, one per HOL vector the block reaches and at
     most `_SATURATED_TABLES` of them, and takes a block's slots past that
     cap one by one. The counts are block reductions of the tables' channel
-    states (see the module docstring). In one process: 0.18 µs per slot on
-    one queue x 4 flows, 0.24 µs on 2 queues x 2+1 flows and 1.2 µs on 3-8
-    queues of 2-3 flows (BENCH_20.json).
+    states (see the module docstring). In one process: 0.16 µs per slot on
+    one queue x 4 flows, 0.18 µs on 2 queues x 2+1 flows and 0.98 µs on
+    3-8 queues of 2-3 flows (BENCH_20.json).
     """
     errs = cfg.validate()
     if errs:
@@ -836,14 +839,13 @@ def run_saturated(
     stride = list(itertools.accumulate([cfg.n_flows(n) for n in qs][:-1], operator.mul,
                                        initial=1))
     rng_ch = _stream(seed, "channels")
-    rng_ar = _stream(seed, "arrivals")
     rng_sc = _stream(seed, "scheduling")
-
-    # queue n's HOL draws: column n of (4096, N) blocks, the first for its
-    # initial HOL, then one per departure of the queue if it moves. The flow
-    # is the count of cumulative shares at or below the uniform, so the
-    # first share above it
-    draws = list(rng_ar.random((_BLOCK, n_queues)).T)
+    # queue n's HOL draws: 4,096-uniform blocks of its own stream, "arrivals"
+    # for queue 0 and "arrivals.n" after, the first for its initial HOL, then
+    # one per departure of the queue if it moves. The flow is the count of
+    # cumulative shares at or below the uniform, so the first share above it
+    rng_ar = [_stream(seed, f"arrivals.{n}" if n else "arrivals") for n in qs]
+    draws = [rng.random(_BLOCK) for rng in rng_ar]
     h = [int(np.searchsorted(cum_mix[n], draws[n][0], side="right")) for n in qs]
     draws = [x[1:] for x in draws]
     n_states = 1 << n_queues
@@ -853,9 +855,9 @@ def run_saturated(
         size = min(_BLOCK, horizon - b0)
         u_ch = rng_ch.random((_BLOCK, n_queues))[:size]
         u_sc = rng_sc.random(_BLOCK)[:size]
-        if min(map(len, draws)) < size:  # at most one departure per slot
-            more = rng_ar.random((_BLOCK, n_queues))
-            draws = [np.concatenate((x, more[:, n])) for n, x in enumerate(draws)]
+        for n in qs:  # at most one departure per slot
+            if moves[n] and len(draws[n]) < size:
+                draws[n] = np.concatenate((draws[n], rng_ar[n].random(_BLOCK)))
         # each mover's refills for the block, and the same last first, so that
         # a departure takes the next by a pop
         refills = [np.searchsorted(c, x[:size], side="right") if m else None
@@ -887,7 +889,7 @@ def run_saturated(
         marks: list[int] = []
         t = 0
         # a lone queue that moves departs whenever ON, to the table of its
-        # refill. The event loop below is right for it too, but took 1.56x as
+        # refill. The event loop below is right for it too, but took 1.57x as
         # long on criterion 01's pool, slower in 10 of 10 pairs (BENCH_20.json)
         if solo:
             tabs = [table([k]) if opens[0][k] else None for k in range(k_max)]
@@ -961,7 +963,7 @@ def run_saturated(
             state = (u_ch[t_cap:] >= p_off[qs, hols]) @ (1 << np.arange(n_queues))
             flat = (state[:, None] * n_queues + np.arange(n_queues)) * k_max + hols
             joint += np.bincount(flat.ravel(), minlength=joint.size).reshape(joint.shape)
-        draws = [x[size - len(rest):] if m else x for x, rest, m in zip(draws, left, moves)]
+        draws = [x[size - len(rest):] for x, rest in zip(draws, left)]
 
     # every count is a marginal of the joint state-and-HOL counts
     hol_count = joint.sum(axis=0)

@@ -1,7 +1,6 @@
 """Shared builders and test-only reference oracles for the test suite."""
 
 import math
-from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -208,7 +207,7 @@ def run_saturated_reference(cfg: NetworkConfig, hol_mix: list[list[float]],
     Every slot reads its channel row and grant draw from the block, counts
     each queue's HOL and ON/OFF state, and on a grant to the pick-th ON queue
     (in queue order) refills that queue's HOL with the next uniform of its
-    own column of the arrivals stream, read as (4096, N) blocks, mapped
+    own stream, "arrivals" for queue 0 and "arrivals.n" for queue n, mapped
     through the queue's cumulative mix. Each queue's first uniform gives its
     initial HOL.
     """
@@ -225,16 +224,11 @@ def run_saturated_reference(cfg: NetworkConfig, hol_mix: list[list[float]],
 
     p_off = [cfg.p_off_row(n) for n in range(n_queues)]
     rng_ch = _stream(seed, "channels")
-    rng_ar = _stream(seed, "arrivals")
+    rng_ar = [_stream(seed, f"arrivals.{n}" if n else "arrivals") for n in range(n_queues)]
     rng_sc = _stream(seed, "scheduling")
 
-    columns = [deque() for _ in range(n_queues)]  # each queue's unread draws
-
     def draw_hol(n: int) -> int:
-        if not columns[n]:
-            for col, block in zip(columns, rng_ar.random((_BLOCK, n_queues)).T.tolist()):
-                col.extend(block)
-        u = columns[n].popleft()
+        u = rng_ar[n].random()
         cum = cum_mix[n]
         for k, c in enumerate(cum):
             if u < c:

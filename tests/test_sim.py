@@ -880,22 +880,53 @@ def _saturated_digest(n_queues):
     return h.hexdigest()[:16]
 
 
-# pinned when each queue began to draw its HOL refills from its own column
-# of the arrivals stream; the one-queue digest is the one from before, as a
-# (4096, 1) column is the old draw sequence. The reference loop moves with
-# the engine, so a change to the streams shows here
+# pinned when each queue began to draw its HOL refills from its own stream;
+# the one-queue digest is the one from before, as queue 0 reads "arrivals"
+# as the shared draws did. The reference loop moves with the engine, so a
+# change to the streams shows here
 SATURATED_SHA = {
     1: "7b1dd877fb5d7883",
-    2: "0e73c7cc764f49d2",
-    3: "7a9c69a934ff3fea",
-    4: "6a35e5a54d98fb2d",
-    5: "f8667728abf1c396",
+    2: "9d941f6efcea65dc",
+    3: "a8977b11745e774e",
+    4: "09dd8f0a409495ca",
+    5: "df043ee51ef04f2d",
 }
 
 
 @pytest.mark.parametrize("n_queues", sorted(SATURATED_SHA))
 def test_run_saturated_outputs_are_pinned(n_queues):
     assert _saturated_digest(n_queues) == SATURATED_SHA[n_queues]
+
+
+def test_run_saturated_draws_refills_only_as_a_queue_departs(monkeypatch):
+    """Over many blocks, a fixed queue draws one block for its initial HOL
+    and a moving queue at most one block more than its departures, however
+    often the other queues depart, so the unread draws stay under two blocks
+    per queue."""
+    drawn: dict[str, int] = {}
+    stream = sim._stream
+
+    class Counted:
+        def __init__(self, seed, name):
+            self.rng, self.name = stream(seed, name), name
+            drawn[name] = 0
+
+        def random(self, size=None):
+            out = self.rng.random(size)
+            drawn[self.name] += np.size(out)
+            return out
+
+    monkeypatch.setattr(sim, "_stream", Counted)
+    # a fast mover, a fixed queue and a slow mover, as ON rates go
+    rows = [[0.05, 0.1], [0.1], [0.9, 0.85]]
+    horizon = 40 * 4096
+    sat = run_saturated(make_cfg(rows), [[0.5, 0.5], [1.0], [0.5, 0.5]], horizon, seed=3)
+    assert drawn["arrivals.1"] == 4096
+    # a queue departs only in slots where it is ON
+    slow_on = sat.p_serviceable[2] * horizon
+    assert slow_on < 0.2 * horizon
+    assert drawn["arrivals.2"] <= slow_on + 2 * 4096
+    assert drawn["arrivals"] <= horizon + 2 * 4096
 
 
 # ----- stability detector -----
