@@ -347,25 +347,20 @@ def _write_trace_csv(fh: IO[str], cfg: NetworkConfig, metrics) -> None:
                  + ",".join(str(int(v)) for v in adm[t]) + "\n")
 
 
-def _check_budget(horizon: int, warmup: Optional[int], min_horizon: int, prefix: str) -> None:
+def _check_budget(horizon: int, warmup: Optional[int], min_horizon: int, prefix: str,
+                  min_window: int = 1) -> None:
     """Reject a run length the engine (or the stability verdict) cannot use."""
     if horizon < min_horizon:
         raise ConfigError(f"{prefix}horizon: must be >= {min_horizon}, got {horizon}")
-    if warmup is not None and not (0 <= warmup < horizon):
-        raise ConfigError(f"{prefix}warmup: must be in [0, horizon), got {warmup}")
+    if warmup is not None and not (0 <= warmup <= horizon - min_window):
+        raise ConfigError(f"{prefix}warmup: must be in [0, {horizon - min_window}], got {warmup}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     # the summary carries a stability verdict, which needs a minimum trace
-    _check_budget(args.horizon, args.warmup, MIN_VERDICT_SLOTS, "--")
+    # and a window of 2 slots after the warmup
+    _check_budget(args.horizon, args.warmup, MIN_VERDICT_SLOTS, "--", min_window=2)
     cfg = load_config(args.config)
-    if args.policy == "static" and cfg.missing_lambda_fields():
-        print(
-            "error: static policy needs explicit arrival rates; missing: "
-            + ", ".join(cfg.missing_lambda_fields()),
-            file=sys.stderr,
-        )
-        return 1
     spec = RunSpec(
         cfg=cfg,
         policy=args.policy,

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NetworkConfig, SchedulingPolicy
+from .core import ConfigError, NetworkConfig, SchedulingPolicy
 from .dfc import DfcSolution
 
 class Policy:
@@ -170,8 +170,8 @@ def build_policy(cfg: NetworkConfig, name: str) -> Policy:
     if name == "static":
         missing = cfg.missing_lambda_fields()
         if missing:
-            raise ValueError(
-                "static policy needs arrival rates; missing: " + ", ".join(missing)
+            raise ConfigError(
+                "static policy needs explicit arrival rates; missing: " + ", ".join(missing)
             )
         return serve_if_on_policy(cfg, cfg.lambdas())
     raise ValueError(f"unknown policy {name!r} (expected qfc, maxweight, dfc-static, static)")

@@ -64,15 +64,16 @@ event, takes the departing queue's next refill from its column, and switches
 tables only when the refill changes the queue's HOL; a lone queue departs
 whenever it is ON and switches at each departure. A block builds at most
 `_SATURATED_TABLES` tables and takes the slots past that cap one at a time,
-from the same per-(queue, flow) ON bits and select table. Each table keeps
-its per-slot channel states, and the loop records the slot from which each
-table holds, so one bincount over (table, state) pairs counts the table
-slots; only the slots past the cap have their HOL vectors rebuilt from the
-recorded HOL changes. The engine draws a queue's next block once fewer
-unread uniforms are left than the block has slots, and takes them as
-vectors, the values one draw per departure returns, in the same order;
-nothing reads them after the horizon, so uniforms drawn past the last
-departure change nothing.
+from the same per-(queue, flow) ON bits and select table. Every loop logs
+the block's HOL changes, each as the slot from which it holds, the queue and
+its new flow (a lone queue logs each departure's refill), and one routine
+counts the block: it rebuilds every slot's HOL flows from the block's first
+HOL vector and the log, reads each slot's channel state from the uniforms,
+and adds one bincount over (state, queue, HOL flow) to the joint counts. The
+engine draws a queue's next block once fewer unread uniforms are left than
+the block has slots, and takes them as vectors, the values one draw per
+departure returns, in the same order; nothing reads them after the horizon,
+so uniforms drawn past the last departure change nothing.
 
 A `StaticPolicy` (static, dfc-static, serve-if-on) admits independently of
 the state, so `run` gives it a block path: a block's arrival counts and
@@ -784,10 +785,10 @@ def run_saturated(
     are not events; the loop runs once per departure of any other queue,
     over per-block event tables, one per HOL vector the block reaches and at
     most `_SATURATED_TABLES` of them, and takes a block's slots past that
-    cap one by one. The counts are block reductions of the tables' channel
-    states (see the module docstring). In one process: 0.16 µs per slot on
-    one queue x 4 flows, 0.18 µs on 2 queues x 2+1 flows and 0.98 µs on
-    3-8 queues of 2-3 flows (BENCH_20.json).
+    cap one by one. Each loop logs the block's HOL changes, and one bincount
+    counts the block (see the module docstring). In one process: 0.16 µs per
+    slot on one queue x 4 flows, 0.18 µs on 2 queues x 2+1 flows and 0.98 µs
+    on 3-8 queues of 2-3 flows (BENCH_21.json).
     """
     errs = cfg.validate()
     if errs:
@@ -821,8 +822,11 @@ def run_saturated(
 
     qs = range(n_queues)
     k_max = max(cfg.n_flows(n) for n in qs)
-    # rows padded with flows that are never at the head
-    p_off = np.array([row + [1.0] * (k_max - len(row)) for row in map(cfg.p_off_row, qs)])
+    # p_off[n * k_max + k]: of queue n's flow k, each row padded with flows
+    # that are never at the head
+    p_off = np.array([row + [1.0] * (k_max - len(row)) for row in map(cfg.p_off_row, qs)]).ravel()
+    q_ids = np.arange(n_queues)
+    weights = (n_queues * k_max) << q_ids  # of each queue's ON bit in a count's index
     on_bit = (np.arange(1 << n_queues)[:, None] >> np.arange(n_queues)) & 1
     n_on = on_bit.sum(axis=1)
     # select[s, j]: the j-th ON queue of channel state s in queue order, -1
@@ -848,8 +852,7 @@ def run_saturated(
     draws = [rng.random(_BLOCK) for rng in rng_ar]
     h = [int(np.searchsorted(cum_mix[n], draws[n][0], side="right")) for n in qs]
     draws = [x[1:] for x in draws]
-    n_states = 1 << n_queues
-    joint = np.zeros((n_states, n_queues, k_max), dtype=np.int64)
+    joint = np.zeros((1 << n_queues, n_queues, k_max), dtype=np.int64)
 
     for b0 in range(0, horizon, _BLOCK):
         size = min(_BLOCK, horizon - b0)
@@ -867,48 +870,39 @@ def run_saturated(
         # on[n][k]: queue n's bit of the channel state in each slot, flow k
         # at its head
         on = [[(u_ch[:, n] >= p) << n for p in cfg.p_off_row(n)] for n in qs]
-        slots = np.arange(size)
-
-        tab_hols: list[list[int]] = []  # each table's HOL vector and states
-        tab_states: list[np.ndarray] = []
-
-        def table(h: list[int]) -> tuple:
-            """With the HOL vector held at h, per slot t: the first event slot
-            >= t (`_next_slots`), and the grant (a memoryview, as most
-            entries are never read). Last, the table's index; its channel
-            states go to `tab_states`."""
-            state = sum(on[n][h[n]] for n in qs)
-            tab_hols.append(h[:])
-            tab_states.append(state)
-            if solo:
-                return _next_slots(state), None, len(tab_hols) - 1
-            grant = select[state, (u_sc * n_on[state]).astype(np.int64)]
-            return _next_slots(event_at[grant]), memoryview(grant), len(tab_hols) - 1
-
-        # the slot from which each table's HOL vector holds, and the table
-        marks: list[int] = []
-        t = 0
-        # a lone queue that moves departs whenever ON, to the table of its
-        # refill. The event loop below is right for it too, but took 1.57x as
-        # long on criterion 01's pool, slower in 10 of 10 pairs (BENCH_20.json)
+        h0 = h[:]
+        # a lone queue that moves departs whenever ON and takes its refill.
+        # The event loop below is right for it too, but took 1.57x as long on
+        # criterion 01's pool, slower in 10 of 10 pairs (BENCH_20.json)
         if solo:
-            tabs = [table([k]) if opens[0][k] else None for k in range(k_max)]
-            nexts = [tab and tab[0] for tab in tabs]
+            nexts = [_next_slots(on[0][k]) if opens[0][k] else None for k in range(k_max)]
             pop = take[0]
             deps = []
             t = nexts[h[0]][0]
             while t < size:
                 deps.append(t)
                 t = nexts[pop()][t + 1]
-            index = np.array([tab[2] if tab else 0 for tab in tabs])
-            held = np.concatenate(([h[0]], refills[0][:len(deps)]))  # HOL from each mark
-            marks = np.column_stack((np.array([-1] + deps) + 1, index[held]))
-            h[0] = int(held[-1])
+            # each departure's refill holds from the next slot
+            k = refills[0][:len(deps)]
+            at, q = np.array(deps, dtype=np.int64) + 1, np.zeros_like(k)
+            if deps:
+                h[0] = int(k[-1])
         else:  # a mover's departure is an event; the rest need no step
+            def table(h: list[int]) -> tuple:
+                """With the HOL vector held at h, per slot t: the first event
+                slot >= t (`_next_slots`), and the grant (a memoryview, as
+                most entries are never read)."""
+                state = sum(on[n][h[n]] for n in qs)
+                grant = select[state, (u_sc * n_on[state]).astype(np.int64)]
+                return _next_slots(event_at[grant]), memoryview(grant)
+
             key = sum(map(operator.mul, stride, h))
-            nxt, grant, i = table(h)
-            tables = {key: (nxt, grant, i)}
-            marks += 0, i
+            nxt, grant = table(h)
+            tables = {key: (nxt, grant)}
+            # each HOL change: the slot from which it holds, the queue and
+            # its new flow
+            changes: list[int] = []
+            t = 0
             while True:
                 e = nxt[t]
                 if e == size:
@@ -918,6 +912,7 @@ def run_saturated(
                 k = take[n]()
                 t = e + 1
                 if k != h[n]:
+                    changes += t, n, k
                     key += stride[n] * (k - h[n])
                     h[n] = k
                     tab = tables.get(key)
@@ -925,44 +920,35 @@ def run_saturated(
                         if len(tables) == _SATURATED_TABLES:
                             break
                         tab = tables[key] = table(h)
-                    nxt, grant, i = tab
-                    marks += t, i
-        # slots before t: joint counts per (table, state) pair
-        marks = np.reshape(marks, (-1, 2))
-        tab_of = np.repeat(marks[:, 1], np.diff(marks[:, 0], append=t))
-        pairs = tab_of * n_states + np.stack(tab_states)[tab_of, slots[:t]]
-        per_tab = np.bincount(pairs, minlength=len(tab_hols) * n_states).reshape(-1, n_states)
-        for hv, c in zip(tab_hols, per_tab):
-            joint[:, qs, hv] += c[:, None]
-        if t < size:  # past the table cap: slot by slot, from the same ON bits
-            t_cap = t
-            hol_cap = h[:]
-            changes: list[int] = []  # slot, queue and new HOL flow of each change
-            on_rows = [[row.tolist() for row in on_n] for on_n in on]
-            rows = [on_rows[n][h[n]] for n in qs]
-            sel, n_on_s, u_pick = select.tolist(), n_on.tolist(), u_sc.tolist()
-            for t in range(t, size):
-                s = 0
-                for row in rows:
-                    s += row[t]
-                if s:
-                    n = sel[s][int(u_pick[t] * n_on_s[s])]
-                    if moves[n]:
-                        k = take[n]()
-                        if k != h[n]:
-                            changes += t, n, k
-                            h[n] = k
-                            rows[n] = on_rows[n][k]
-            # per-slot HOL flows: a queue's HOL changes the slot after it departs
-            hols = np.empty((size - t_cap, n_queues), dtype=np.int64)
-            ch = np.array(changes, dtype=np.int64).reshape(-1, 3)
-            for n in qs:
-                mine = ch[ch[:, 1] == n]
-                ks = np.concatenate(([hol_cap[n]], mine[:, 2]))
-                hols[:, n] = np.repeat(ks, np.diff(np.concatenate(([t_cap], mine[:, 0] + 1, [size]))))
-            state = (u_ch[t_cap:] >= p_off[qs, hols]) @ (1 << np.arange(n_queues))
-            flat = (state[:, None] * n_queues + np.arange(n_queues)) * k_max + hols
-            joint += np.bincount(flat.ravel(), minlength=joint.size).reshape(joint.shape)
+                    nxt, grant = tab
+            if t < size:  # past the table cap: slot by slot, from the same ON bits
+                on_rows = [[row.tolist() for row in on_n] for on_n in on]
+                rows = [on_rows[n][h[n]] for n in qs]
+                sel, n_on_s, u_pick = select.tolist(), n_on.tolist(), u_sc.tolist()
+                for t in range(t, size):
+                    s = 0
+                    for row in rows:
+                        s += row[t]
+                    if s:
+                        n = sel[s][int(u_pick[t] * n_on_s[s])]
+                        if moves[n]:
+                            k = take[n]()
+                            if k != h[n]:
+                                changes += t + 1, n, k
+                                h[n] = k
+                                rows[n] = on_rows[n][k]
+            at, q, k = np.array(changes, dtype=np.int64).reshape(-1, 3).T
+        # the block's count: hq[n, t] = n * k_max + queue n's HOL flow in slot
+        # t. Laid out flat, queue n's h0 sits at n * size and a change at
+        # q * size + at, and each holds up to the next in order; the stable
+        # sort puts a change at slot `size` before the next queue's h0, so it
+        # holds for no slot
+        pos = np.concatenate((q * size + at, q_ids * size, [n_queues * size]))
+        order = np.argsort(pos, kind="stable")
+        code = np.concatenate((q * k_max + k, q_ids * k_max + h0))[order[:-1]]
+        hq = np.repeat(code, np.diff(pos[order])).reshape(n_queues, size)
+        flat = hq + ((u_ch.T >= p_off[hq]) * weights[:, None]).sum(axis=0)
+        joint += np.bincount(flat.ravel(), minlength=joint.size).reshape(joint.shape)
         draws = [x[size - len(rest):] for x, rest in zip(draws, left)]
 
     # every count is a marginal of the joint state-and-HOL counts
@@ -1045,12 +1031,11 @@ def detect_stability(
             f"need a 1-D or 2-D backlog trace of at least {MIN_VERDICT_SLOTS} slots"
         )
     w = len(q) // 10 if warmup is None else warmup
-    if not (0 <= w < len(q)):
-        raise ValueError("warmup must be in [0, len(trace))")
+    if not (0 <= w < len(q) - 1):  # a slope needs a window of 2 slots
+        raise ValueError("warmup must be in [0, len(trace) - 1)")
     n = len(q) - w
     s0, s1, top = _trace_sums(q, w)
-    den = n * (n * n - 1)
-    slope = (12 * s1 - 6 * (n - 1) * s0) / den if den else 0.0
+    slope = (12 * s1 - 6 * (n - 1) * s0) / (n * (n * n - 1))
     if slope >= SLOPE_UNSTABLE:
         verdict = "unstable"
     elif slope <= SLOPE_STABLE and top <= backlog_cap:

@@ -461,12 +461,15 @@ def test_simulate_overload_exits_two(tmp_path, capsys):
     (["--horizon", "5"], "--horizon"),  # the stability verdict needs 10 slots
     (["--horizon", "100", "--warmup", "100"], "--warmup"),
     (["--horizon", "100", "--warmup", "-1"], "--warmup"),
+    (["--horizon", "10", "--warmup", "9"], "--warmup"),  # and a slope needs 2 slots
 ])
 def test_simulate_unusable_budget_is_a_one_line_error(tmp_path, capsys, budget, field):
     path = write_cfg(tmp_path, "s.json", [[0.2, 0.5]])
-    assert main(["simulate", "--config", path] + budget) == 1
+    out = tmp_path / "out.json"
+    assert main(["simulate", "--config", path, "--out", str(out)] + budget) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: must be") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_simulate_static_needs_rates(tmp_path, capsys):
@@ -475,6 +478,15 @@ def test_simulate_static_needs_rates(tmp_path, capsys):
                "--horizon", "1000"])
     assert rc == 1
     assert "queues[0].flows[0].lambda" in capsys.readouterr().err
+
+
+def test_simulate_static_needs_rates_writes_no_output(tmp_path, capsys):
+    path = write_cfg(tmp_path, "n.json", [[0.2]])
+    out = tmp_path / "out.json"
+    assert main(["simulate", "--config", path, "--policy", "static", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: static policy needs") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_simulate_trace_csv(tmp_path, capsys):

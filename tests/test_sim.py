@@ -861,6 +861,21 @@ def test_run_saturated_equals_reference_loop(horizon):
             assert np.array_equal(got.joint, want.joint)
 
 
+def test_run_saturated_does_not_depend_on_the_table_cap(monkeypatch):
+    # a cap of 1 takes every slot after a block's first HOL change one by
+    # one, and a cap of 2 switches to that at the cap in most blocks
+    for i, (rows, mix) in enumerate(_SATURATED_CASES):
+        cfg = make_cfg(rows)
+        for horizon in (10, 4097, 3 * 4096 + 5):
+            want = run_saturated_reference(cfg, mix, horizon, 50 + i)
+            for cap in (1, 2, 8):
+                monkeypatch.setattr(sim, "_SATURATED_TABLES", cap)
+                got = run_saturated(cfg, mix, horizon, 50 + i)
+                assert np.array_equal(got.joint, want.joint), (i, horizon, cap)
+                assert (got.p_serviceable, got.p_blocked, got.p_hol) == (
+                    want.p_serviceable, want.p_blocked, want.p_hol)
+
+
 def _saturated_digest(n_queues):
     """sha256 prefix over `run_saturated` outputs on two random networks of
     n_queues queues of 2-3 flows, one where every queue moves and one whose
@@ -964,6 +979,8 @@ def test_detector_input_validation():
         detect_stability(np.zeros(5))
     with pytest.raises(ValueError, match="warmup"):
         detect_stability(np.zeros(100), warmup=100)
+    with pytest.raises(ValueError, match="warmup"):  # one slot has no slope
+        detect_stability(3 * np.arange(10), warmup=9)
 
 
 def _int_trace(n, lo, hi, seed, queues=None):
@@ -973,18 +990,16 @@ def _int_trace(n, lo, hi, seed, queues=None):
 
 @pytest.mark.parametrize("queues", [None, 2])
 @pytest.mark.parametrize("n, warmup", [(4095, 0), (4096, 0), (4097, 0), (20_000, 3_000),
-                                       (3 * 4096 + 5, 4095), (10, 9), (10, 8)])
+                                       (3 * 4096 + 5, 4095), (10, 8)])
 def test_detector_slope_is_the_exact_slope_rounded_once(n, warmup, queues):
     # windows at the reduction's block size -1, +0, +1, across block edges,
-    # and of 1 and 2 slots; 1-D and per-queue traces
+    # and of 2 slots, the fewest a slope takes; 1-D and per-queue traces
     q = _int_trace(n, 0, 1000, n + warmup, queues)
     got = detect_stability(q, warmup=warmup)
     assert got.slope == float(exact_slope(q, warmup))
     assert got.max_backlog == float(backlog_sums_reference(q, warmup)[2])
     if n - warmup == 2:
         assert got.slope == float(int(q[-1].sum()) - int(q[-2].sum()))
-    if n - warmup == 1:
-        assert got.slope == 0.0
 
 
 @pytest.mark.parametrize("queues", [None, 2])
