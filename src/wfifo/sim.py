@@ -786,8 +786,8 @@ def run_saturated(
     over per-block event tables, one per HOL vector the block reaches and at
     most `_SATURATED_TABLES` of them, and takes a block's slots past that
     cap one by one. Each loop logs the block's HOL changes, and one bincount
-    counts the block (see the module docstring). In one process: 0.16 µs per
-    slot on one queue x 4 flows, 0.18 µs on 2 queues x 2+1 flows and 0.98 µs
+    counts the block (see the module docstring). In one process: 0.13 µs per
+    slot on one queue x 4 flows, 0.17 µs on 2 queues x 2+1 flows and 0.97 µs
     on 3-8 queues of 2-3 flows (BENCH_21.json).
     """
     errs = cfg.validate()
