@@ -990,11 +990,16 @@ def _int_trace(n, lo, hi, seed, queues=None):
 
 @pytest.mark.parametrize("queues", [None, 2])
 @pytest.mark.parametrize("n, warmup", [(4095, 0), (4096, 0), (4097, 0), (20_000, 3_000),
-                                       (3 * 4096 + 5, 4095), (10, 8)])
+                                       (3 * 4096 + 5, 4095), (10, 9), (10, 8)])
 def test_detector_slope_is_the_exact_slope_rounded_once(n, warmup, queues):
     # windows at the reduction's block size -1, +0, +1, across block edges,
-    # and of 2 slots, the fewest a slope takes; 1-D and per-queue traces
+    # and of 1 and 2 slots; 1-D and per-queue traces. One slot has no slope,
+    # so that window is refused; 2 slots are the fewest a slope takes
     q = _int_trace(n, 0, 1000, n + warmup, queues)
+    if n - warmup == 1:
+        with pytest.raises(ValueError, match="warmup"):
+            detect_stability(q, warmup=warmup)
+        return
     got = detect_stability(q, warmup=warmup)
     assert got.slope == float(exact_slope(q, warmup))
     assert got.max_backlog == float(backlog_sums_reference(q, warmup)[2])
