@@ -147,6 +147,11 @@ class NetworkConfig:
         if not (self.r_max > 0) or not math.isfinite(self.r_max):
             errs.append(f"r_max: must be finite and > 0, got {self.r_max!r}")
         errs.extend(self.utility.validate())
+        # the planner weighs queue n by weight * K_n and qfc by M * weight * K_n
+        w, k = self.utility.weight, max(map(self.n_flows, range(self.n_queues)), default=1)
+        if not errs and not (math.isfinite(w * k) and math.isfinite(self.M * w * k)):
+            errs.append(f"utility.weight: weight * flow count and M * weight * flow count "
+                        f"must be finite, got weight {w!r} with M = {self.M!r} and {k} flows")
         # flows admit on the ray a * p_on**beta; once that leaves the normal
         # float range, the reciprocal of a queue's sum of p_on**(beta - 1)
         # overflows

@@ -77,12 +77,13 @@ def _weights(cfg: NetworkConfig) -> np.ndarray:
 
 def _objective_const(cfg: NetworkConfig) -> float:
     """Channel-dependent constant: beta * sum of log p_on over live flows."""
-    return cfg.beta * cfg.utility.weight * math.fsum(
+    # beta first: beta * weight can overflow where every log p_on is 0
+    return cfg.utility.weight * (cfg.beta * math.fsum(
         math.log(p)
         for n in range(cfg.n_queues)
         for p in cfg.p_on_row(n)
         if p > 0.0
-    )
+    ))
 
 
 def _scales_and_gradient(
@@ -111,6 +112,12 @@ def solve_dfc(
             "queues[*].flows[*].p_off: every flow has p_off = 1, so no queue "
             "can carry traffic and there is no rate plan"
         )
+    # g[s, n] = w_n c_n(s) / a_n is at most w_n / LOG_FLOOR, and the gap sums
+    # one per state; under this bound the objective stays finite too
+    if not math.isfinite(float(w.max()) / LOG_FLOOR * (1 << n_queues)):
+        raise ConfigError(f"utility.weight: {cfg.utility.weight!r} is too large for the "
+                          f"planner: weight * flow count / {LOG_FLOOR} leaves float range "
+                          f"when summed over {1 << n_queues} channel states")
 
     tau = np.full((1 << n_queues, n_queues), 1.0 / n_queues)
     a, g = _scales_and_gradient(c, w, tau)

@@ -55,18 +55,17 @@ blocks: its first uniform gives its initial HOL and each departure after
 takes the next, mapped through the queue's cumulative mix, so a queue's
 refills do not depend on the other queues' departures. A queue whose
 cumulative mix opens one interval is fixed: its HOL never changes, so its
-departures are not events and draw nothing. The HOL vector changes only
-when a moving queue departs, so the engine steps from event to event. For
-each HOL vector a block reaches, one vectorized pass over the block gives
-every slot's channel state, its grant (read from a (2**N, N) table of the
-j-th ON queue of each state) and the next event slot. The loop runs once per
-event, takes the departing queue's next refill from its column, and switches
-tables only when the refill changes the queue's HOL; a lone queue departs
-whenever it is ON and switches at each departure. A block builds at most
-`_SATURATED_TABLES` tables and takes the slots past that cap one at a time,
-from the same per-(queue, flow) ON bits and select table. Every loop logs
-the block's HOL changes, each as the slot from which it holds, the queue and
-its new flow (a lone queue logs each departure's refill), and one routine
+departures draw nothing. The HOL vector changes only when a moving queue
+departs, and the engine picks its stepping loop by how many queues move. One
+mover (a lone queue among them) steps once per departure: with the fixed
+queues' HOL held, it wins slot t when it is ON and the grant draw picks it
+after the fixed queues before it that are ON in t, so one vectorized pass
+per flow of the mover gives the next slot it wins with that flow at its head
+(`_next_slots`), and the loop takes the next refill at each. Two or more
+movers step slot by slot, from per-(queue, flow) ON bits and a table of the
+j-th ON queue of each channel state; no mover, no step. Both loops log the
+block's HOL changes, each as the slot from which it holds, the queue and
+its new flow (the one-mover loop logs every refill), and one routine
 counts the block: it rebuilds every slot's HOL flows from the block's first
 HOL vector and the log, reads each slot's channel state from the uniforms,
 and adds one bincount over (state, queue, HOL flow) to the joint counts. The
@@ -104,7 +103,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import operator
 import sys
 from array import array
 from bisect import bisect_right
@@ -119,13 +117,6 @@ from .core import ConfigError, NetworkConfig
 from .policies import MaxWeightPolicy, Policy, QfcPolicy, StaticPolicy, build_policy
 
 _BLOCK = 4096
-
-# most event tables one block of `run_saturated` builds before it takes the
-# rest of the block slot by slot. 8 covers two queues of 3 and 2 flows (6
-# HOL vectors); on 3, 4, 5 and 8 queues of 2-3 flows each, whose HOL vector
-# changes at most slots, 8 tables ran 10-15% slower than 2, and 32 up to
-# 1.7x slower
-_SATURATED_TABLES = 8
 
 # largest rate the Poisson sampler takes: e**-rate stays a normal float
 POISSON_RATE_MAX = 700.0
@@ -781,14 +772,13 @@ def run_saturated(
     channel-state-only rule under which the stationary HOL statistics
     factor per queue.
 
-    A queue with one flow that can be drawn is fixed, and its departures
-    are not events; the loop runs once per departure of any other queue,
-    over per-block event tables, one per HOL vector the block reaches and at
-    most `_SATURATED_TABLES` of them, and takes a block's slots past that
-    cap one by one. Each loop logs the block's HOL changes, and one bincount
-    counts the block (see the module docstring). In one process: 0.13 µs per
-    slot on one queue x 4 flows, 0.17 µs on 2 queues x 2+1 flows and 0.97 µs
-    on 3-8 queues of 2-3 flows (BENCH_21.json).
+    A queue with one flow that can be drawn is fixed and never steps a
+    loop. With one moving queue, the loop runs once per departure of it;
+    with two or more, once per slot. Each loop logs the block's HOL changes,
+    and one bincount counts the block (see the module docstring). In one
+    process: 0.14 µs per slot on one queue x 4 flows, 0.13 µs on 2 queues x
+    2+1 flows (one mover), 0.46 µs on 2 queues that both move and 0.8 µs on
+    3-8 queues of 2-3 flows (BENCH_22.json).
     """
     errs = cfg.validate()
     if errs:
@@ -828,20 +818,15 @@ def run_saturated(
     q_ids = np.arange(n_queues)
     weights = (n_queues * k_max) << q_ids  # of each queue's ON bit in a count's index
     on_bit = (np.arange(1 << n_queues)[:, None] >> np.arange(n_queues)) & 1
-    n_on = on_bit.sum(axis=1)
-    # select[s, j]: the j-th ON queue of channel state s in queue order, -1
-    # past the last, so a slot with every channel OFF grants -1
-    select = np.where(np.arange(n_queues) < n_on[:, None],
-                      np.argsort(1 - on_bit, axis=1, kind="stable"), -1)
+    # sel[s][j]: the j-th ON queue of channel state s in queue order, for j
+    # below n_on[s], its count of ON queues
+    sel = np.argsort(1 - on_bit, axis=1, kind="stable").tolist()
+    n_on = on_bit.sum(axis=1).tolist()
     # a queue whose cumulative mix opens one interval is fixed: its HOL never
-    # changes. The other queues move, and their departures are the events
+    # changes. The other queues move, and only their departures step a loop
     opens = [(np.diff(c, prepend=0.0) > 0).tolist() for c in cum_mix]
     moves = [sum(o) > 1 for o in opens]
-    solo = moves == [True]
-    event_at = np.array(moves + [False])  # by grant, -1 (no grant) last
-    # a table's key: sum of stride[n] * h[n] over the HOL vector h
-    stride = list(itertools.accumulate([cfg.n_flows(n) for n in qs][:-1], operator.mul,
-                                       initial=1))
+    movers = [n for n in qs if moves[n]]
     rng_ch = _stream(seed, "channels")
     rng_sc = _stream(seed, "scheduling")
     # queue n's HOL draws: 4,096-uniform blocks of its own stream, "arrivals"
@@ -867,76 +852,49 @@ def run_saturated(
                    for c, x, m in zip(cum_mix, draws, moves)]
         left = [r[::-1].tolist() if m else [] for r, m in zip(refills, moves)]
         take = [rest.pop for rest in left]
-        # on[n][k]: queue n's bit of the channel state in each slot, flow k
-        # at its head
-        on = [[(u_ch[:, n] >= p) << n for p in cfg.p_off_row(n)] for n in qs]
         h0 = h[:]
-        # a lone queue that moves departs whenever ON and takes its refill.
-        # The event loop below is right for it too, but took 1.57x as long on
-        # criterion 01's pool, slower in 10 of 10 pairs (BENCH_20.json)
-        if solo:
-            nexts = [_next_slots(on[0][k]) if opens[0][k] else None for k in range(k_max)]
-            pop = take[0]
+        if len(movers) == 1:
+            # the fixed queues' HOL is held, so the mover m wins slot t when
+            # ON and the grant draw picks it after the fixed queues before it
+            # that are ON in t. It departs in each slot it wins, and its
+            # refill holds from the next
+            m = movers[0]
+            fixed = [u_ch[:, n] >= p_off[n * k_max + h[n]] for n in qs if n != m]
+            before = sum(fixed[:m], np.zeros(size, dtype=np.int64))
+            win = (u_sc * (sum(fixed[m:], before) + 1)).astype(np.int64) == before
+            nexts = [_next_slots((u_ch[:, m] >= p) & win) if o else None
+                     for p, o in zip(cfg.p_off_row(m), opens[m])]
+            pop = take[m]
             deps = []
-            t = nexts[h[0]][0]
+            t = nexts[h[m]][0]
             while t < size:
                 deps.append(t)
                 t = nexts[pop()][t + 1]
-            # each departure's refill holds from the next slot
-            k = refills[0][:len(deps)]
-            at, q = np.array(deps, dtype=np.int64) + 1, np.zeros_like(k)
+            k = refills[m][:len(deps)]
+            at, q = np.array(deps, dtype=np.int64) + 1, np.full_like(k, m)
             if deps:
-                h[0] = int(k[-1])
-        else:  # a mover's departure is an event; the rest need no step
-            def table(h: list[int]) -> tuple:
-                """With the HOL vector held at h, per slot t: the first event
-                slot >= t (`_next_slots`), and the grant (a memoryview, as
-                most entries are never read)."""
-                state = sum(on[n][h[n]] for n in qs)
-                grant = select[state, (u_sc * n_on[state]).astype(np.int64)]
-                return _next_slots(event_at[grant]), memoryview(grant)
-
-            key = sum(map(operator.mul, stride, h))
-            nxt, grant = table(h)
-            tables = {key: (nxt, grant)}
-            # each HOL change: the slot from which it holds, the queue and
-            # its new flow
-            changes: list[int] = []
-            t = 0
-            while True:
-                e = nxt[t]
-                if e == size:
-                    t = size
-                    break
-                n = grant[e]
-                k = take[n]()
-                t = e + 1
-                if k != h[n]:
-                    changes += t, n, k
-                    key += stride[n] * (k - h[n])
-                    h[n] = k
-                    tab = tables.get(key)
-                    if tab is None:
-                        if len(tables) == _SATURATED_TABLES:
-                            break
-                        tab = tables[key] = table(h)
-                    nxt, grant = tab
-            if t < size:  # past the table cap: slot by slot, from the same ON bits
-                on_rows = [[row.tolist() for row in on_n] for on_n in on]
-                rows = [on_rows[n][h[n]] for n in qs]
-                sel, n_on_s, u_pick = select.tolist(), n_on.tolist(), u_sc.tolist()
-                for t in range(t, size):
+                h[m] = int(k[-1])
+        else:  # slot by slot; with no mover, nothing changes
+            changes: list[int] = []  # each HOL change: from slot, queue, new flow
+            if movers:
+                # on[n][k]: queue n's bit of the channel state in each slot,
+                # flow k at its head
+                on = [[((u_ch[:, n] >= p) << n).tolist() for p in cfg.p_off_row(n)]
+                      for n in qs]
+                rows = [on[n][h[n]] for n in qs]
+                u_pick = u_sc.tolist()
+                for t in range(size):
                     s = 0
                     for row in rows:
                         s += row[t]
                     if s:
-                        n = sel[s][int(u_pick[t] * n_on_s[s])]
+                        n = sel[s][int(u_pick[t] * n_on[s])]
                         if moves[n]:
                             k = take[n]()
                             if k != h[n]:
                                 changes += t + 1, n, k
                                 h[n] = k
-                                rows[n] = on_rows[n][k]
+                                rows[n] = on[n][k]
             at, q, k = np.array(changes, dtype=np.int64).reshape(-1, 3).T
         # the block's count: hq[n, t] = n * k_max + queue n's HOL flow in slot
         # t. Laid out flat, queue n's h0 sits at n * size and a change at

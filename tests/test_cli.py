@@ -242,6 +242,27 @@ def test_beta_past_float_range_is_a_one_line_error(tmp_path, capsys, argv):
     assert _one_error_line(capsys).startswith("error: beta: p_on**beta leaves float range")
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve-dfc"],
+    ["simulate", "--policy", "dfc-static", "--horizon", "100"],
+])
+@pytest.mark.parametrize("queues,M", [
+    # weight * 2 flows overflows: the planner's weights were inf, so it ran
+    # NaN iterations, and dfc-static replayed an all-zero plan as stable
+    ([{"flows": [{"p_off": 0.5}, {"p_off": 0.2}]}], 1000.0),
+    # weight * 1 flow passes validation; w_n / a_n overflowed in the planner,
+    # which now refuses the weight before its first iteration
+    ([{"flows": [{"p_off": p}]} for p in (0.5, 0.2, 0.3)], 1.0),
+])
+def test_weight_past_float_range_is_a_one_line_error(tmp_path, capsys, argv, queues, M):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"queues": queues, "M": M, "utility": {"weight": 1e308}}))
+    out = tmp_path / "out.json"
+    assert main(argv[:1] + ["--config", str(path), "--out", str(out)] + argv[1:]) == 1
+    assert _one_error_line(capsys).startswith("error: utility.weight: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["beta", "M", "r_max", "utility.weight"])
 @pytest.mark.parametrize("value", ["x", None])
 def test_analyze_non_numeric_constant_is_a_one_line_error(tmp_path, capsys, field, value):
@@ -267,16 +288,20 @@ def test_usage_errors_exit_one():
 
 
 # config-shaped JSON at the edges of every numeric range the validator
-# accepts: sure-ON and sure-OFF flows, subnormal to huge rates, huge beta
+# accepts: sure-ON and sure-OFF flows, subnormal to huge rates, huge beta,
+# subnormal to huge M and utility weight
 _edge_p_off = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
 _edge_rate = st.sampled_from([0.0, 5e-324, 1e308]) | st.floats(5e-324, 1e308)
+_edge_scale = st.sampled_from([5e-324, 1.0, 1e308])
 _edge_config = st.fixed_dictionaries(
     {"queues": st.lists(
         st.fixed_dictionaries({"flows": st.lists(
             st.fixed_dictionaries({"p_off": _edge_p_off, "lambda": _edge_rate}),
             min_size=1, max_size=3)}),
         min_size=1, max_size=3)},
-    optional={"beta": st.sampled_from([1.0, 1100.0, 1e308]) | st.floats(1.0, 1e308)},
+    optional={"beta": st.sampled_from([1.0, 1100.0, 1e308]) | st.floats(1.0, 1e308),
+              "M": _edge_scale,
+              "utility": st.fixed_dictionaries({"weight": _edge_scale})},
 )
 
 
@@ -292,10 +317,14 @@ def test_commands_end_in_a_verdict_or_one_error_line(data):
         path = Path(tmp) / "c.json"
         path.write_text(json.dumps(data))
         for argv in commands:
-            _assert_verdict_or_one_error(argv[:1] + ["--config", str(path)] + argv[1:])
+            rc, out = _assert_verdict_or_one_error(argv[:1] + ["--config", str(path)] + argv[1:])
+            # a planner that did not converge did not run on NaN
+            assert not (argv == ["solve-dfc"] and rc == 2 and "residual: nan" in out), data
 
 
-def _assert_verdict_or_one_error(argv):
+def _assert_verdict_or_one_error(argv) -> tuple[int, str]:
+    """The exit code and stdout of `main(argv)`, which must end in a verdict
+    or one error line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -303,6 +332,7 @@ def _assert_verdict_or_one_error(argv):
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("error:") <= 1, (argv, err.getvalue())
     assert (rc == 1) == err.getvalue().startswith("error: "), (argv, err.getvalue())
+    return rc, out.getvalue()
 
 
 # a plan that validates, then up to two fields replaced by any JSON value and

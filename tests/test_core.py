@@ -70,6 +70,17 @@ def test_utility_only_log_supported():
     assert Utility(weight=0.0).validate() != []
 
 
+def test_weight_products_past_float_range_rejected():
+    # the planner's queue weight is weight * K_n and qfc's M * weight * K_n
+    for weight, M in ((1e308, 1e-300), (1e306, 1000.0), (math.inf, 1.0)):
+        cfg = make_cfg([[0.5, 0.2], [0.3]], M=M)
+        cfg.utility.weight = weight
+        assert any(e.startswith("utility.weight: weight * flow count") for e in cfg.validate())
+    cfg = make_cfg([[0.5, 0.2], [0.3]], M=1e-300)
+    cfg.utility.weight = 5e307
+    assert cfg.validate() == []
+
+
 def test_utility_value_is_weighted_log():
     assert Utility(weight=2.0).value(math.e) == pytest.approx(2.0)
 

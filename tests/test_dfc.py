@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import dfc_gap_vs_oracle, make_cfg, objective_and_gradient, single_queue_cfg
-from wfifo import SchedulingPolicy, check_inner_bound, solve_dfc
+from wfifo import ConfigError, SchedulingPolicy, check_inner_bound, solve_dfc
 from wfifo.dfc import _weights
 from wfifo.stability import inner_coefficients
 
@@ -70,6 +70,30 @@ def test_solver_reports_nonconvergence_at_iteration_cap():
     assert not sol.converged
     assert sol.iterations == 1
     assert np.all(np.isfinite(sol.tau))
+
+
+def test_weight_that_overflows_the_planner_is_a_config_error():
+    # weight * K_n passes validation, but w_n / a_n overflowed once a_n < 1:
+    # the planner ran 100,000 NaN iterations and returned an all-zero plan
+    for rows in ([[0.5], [0.2], [0.3]], [[0.95]]):
+        cfg = make_cfg(rows, M=1.0)
+        cfg.utility.weight = 1e308
+        assert cfg.validate() == []
+        with pytest.raises(ConfigError, match=r"^utility.weight: 1e\+308 is too large"):
+            solve_dfc(cfg)
+    cfg = make_cfg([[0.5]], M=1.0)
+    cfg.utility.weight = 1e290
+    assert solve_dfc(cfg).objective == pytest.approx(1e290 * math.log(0.5))
+
+
+def test_objective_finite_at_huge_beta_with_sure_on_flows():
+    # beta * weight overflows, but every log p_on is 0: the constant term was
+    # inf * 0 = NaN, written to the plan file as the invalid JSON token NaN
+    cfg = make_cfg([[0.0], [0.0]], beta=1e308)
+    cfg.utility.weight = 10.0
+    sol = solve_dfc(cfg)
+    assert sol.a == pytest.approx((0.5, 0.5), abs=1e-7)
+    assert sol.objective == pytest.approx(20 * math.log(0.5))
 
 
 def _linearization_gap(cfg, tau):
